@@ -1,8 +1,8 @@
 #include "can/node.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <tuple>
 
 #include "common/log.hpp"
 #include "obs/profiler.hpp"
@@ -31,21 +31,41 @@ std::optional<net::Endpoint> parse_endpoint(ByteReader& r) {
   return net::Endpoint{net::Ipv4Address{*ip}, *port};
 }
 
-/// Items travel with their *remaining* TTL in milliseconds (0 = never
-/// expires), so transfers during join/leave preserve expiry semantics.
-void encode_items(ByteWriter& w, const std::vector<Item>& items, TimePoint now) {
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& item : items) {
+/// TTLs travel as whole milliseconds, 0 meaning "never expires"; a
+/// positive TTL never rounds down to that.
+std::uint32_t ttl_to_ms(Duration ttl) {
+  if (ttl <= kZeroDuration) return 0;
+  return static_cast<std::uint32_t>(std::clamp(to_milliseconds(ttl), 1.0, 4e9));
+}
+
+TimePoint expiry_at(TimePoint now, std::uint32_t ttl_ms) {
+  return ttl_ms == 0 ? kTimeInfinity : now + milliseconds(ttl_ms);
+}
+
+/// A u32-length-prefixed byte string.
+std::optional<ByteBuffer> parse_blob(ByteReader& r) {
+  const auto len = r.u32();
+  if (!len) return std::nullopt;
+  const auto bytes = r.raw(*len);
+  if (!bytes) return std::nullopt;
+  return ByteBuffer{bytes->begin(), bytes->end()};
+}
+
+const Item& record_of(const Item& item) { return item; }
+const Item& record_of(const Item* item) { return *item; }
+
+/// Records travel with their *remaining* TTL (an already expired one as
+/// 1 ms), so transfers during join/leave preserve expiry semantics.
+template <typename Records>
+void encode_items(ByteWriter& w, const Records& records, TimePoint now) {
+  w.u32(static_cast<std::uint32_t>(records.size()));
+  for (const auto& entry : records) {
+    const Item& item = record_of(entry);
     encode_point(w, item.point);
-    std::uint32_t ttl_ms = 0;
-    if (item.expires < kTimeInfinity) {
-      const Duration remaining = item.expires - now;
-      ttl_ms = remaining > kZeroDuration
-                   ? static_cast<std::uint32_t>(
-                         std::min<double>(to_milliseconds(remaining), 4e9))
-                   : 1;
-    }
-    w.u32(ttl_ms);
+    w.u64(item.key);
+    w.u32(item.expires < kTimeInfinity
+              ? std::max<std::uint32_t>(ttl_to_ms(item.expires - now), 1)
+              : 0);
     w.u32(static_cast<std::uint32_t>(item.payload.size()));
     w.raw(item.payload);
   }
@@ -55,18 +75,16 @@ std::optional<std::vector<Item>> parse_items(ByteReader& r, TimePoint now) {
   const auto count = r.u32();
   if (!count) return std::nullopt;
   std::vector<Item> items;
-  items.reserve(*count);
+  // Every record takes several bytes, so the bytes left bound the count.
+  items.reserve(std::min<std::size_t>(*count, r.remaining()));
   for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto point = parse_point(r);
-    if (!point) return std::nullopt;
+    auto point = parse_point(r);
+    const auto key = r.u64();
     const auto ttl_ms = r.u32();
-    const auto len = r.u32();
-    if (!ttl_ms || !len) return std::nullopt;
-    const auto payload = r.raw(*len);
-    if (!payload) return std::nullopt;
-    Item item{*point, ByteBuffer{payload->begin(), payload->end()}, kTimeInfinity};
-    if (*ttl_ms != 0) item.expires = now + milliseconds(*ttl_ms);
-    items.push_back(std::move(item));
+    auto payload = parse_blob(r);
+    if (!point || !key || !ttl_ms || !payload) return std::nullopt;
+    items.push_back(
+        Item{std::move(*point), *key, std::move(*payload), expiry_at(now, *ttl_ms)});
   }
   return items;
 }
@@ -78,6 +96,33 @@ double point_distance_sq(const Point& a, const Point& b) {
     d2 += d * d;
   }
   return d2;
+}
+
+/// The k records nearest `p`, closest first, from records with distinct
+/// keys. Ranking by (distance, key) is a total order, so which of two
+/// equidistant records an answer holds never depends on storage order.
+/// One scan through a bounded max-heap whose front is the farthest record
+/// kept so far: nothing is copied, and the cost is linear in the count.
+std::vector<const Item*> nearest(const std::vector<Item>& records, const Point& p,
+                                 std::size_t k) {
+  std::vector<std::tuple<double, RecordKey, const Item*>> best;
+  best.reserve(std::min(k, records.size()));
+  for (const Item& item : records) {
+    const auto candidate = std::tuple{point_distance_sq(item.point, p), item.key, &item};
+    if (best.size() < k) {
+      best.push_back(candidate);
+      std::push_heap(best.begin(), best.end());
+    } else if (!best.empty() && candidate < best.front()) {
+      std::pop_heap(best.begin(), best.end());
+      best.back() = candidate;
+      std::push_heap(best.begin(), best.end());
+    }
+  }
+  std::sort_heap(best.begin(), best.end());
+  std::vector<const Item*> out;
+  out.reserve(best.size());
+  for (const auto& ranked : best) out.push_back(std::get<const Item*>(ranked));
+  return out;
 }
 
 }  // namespace
@@ -94,7 +139,7 @@ CanNode::CanNode(sim::Simulation& sim, NodeId id, net::Endpoint self, SendFn sen
       config_(config),
       zone_(Zone::whole(config.dims)),
       hello_timer_(sim, config.hello_interval, [this] {
-        prune_expired_items();
+        expire_records();
         announce_to_neighbors();
         // Drop neighbors that have gone silent for several periods. A
         // crashed node never sends a ZoneTakeover, so its zone would
@@ -165,7 +210,7 @@ void CanNode::crash() {
   hello_timer_.stop();
   drop_pending_state();
   neighbors_.clear();
-  items_.clear();
+  clear_records();
   pending_handovers_.clear();
   sim_.tracer().instant(obs::Category::kChaos, "can.crash",
                         "can#" + std::to_string(id_));
@@ -271,7 +316,7 @@ void CanNode::relinquish_and_rejoin(const net::Endpoint& via) {
   hello_timer_.stop();
   joined_ = false;
   neighbors_.clear();
-  items_.clear();
+  clear_records();
   pending_handovers_.clear();
   drop_pending_state();
   join(via);
@@ -313,7 +358,7 @@ bool CanNode::adopt_zone_via_handover(const NeighborInfo& dead) {
   }
   send_zone_takeover(heir->endpoint, kCascadeBudget);
   zone_ = dead.zone;
-  items_.clear();  // the old zone's items now live at the heir
+  clear_records();  // the old zone's records now live at the heir
   ++stats_.zone_takeovers;
   c_zone_takeovers_->inc();
   sim_.tracer().instant(obs::Category::kChaos, "can.zone_handover",
@@ -357,14 +402,13 @@ void CanNode::join(const net::Endpoint& seed) {
   ByteWriter w{out};
   w.u8(static_cast<std::uint8_t>(MsgType::kJoinRequest));
   w.u8(0);  // hops
+  encode_point(w, target);
   w.u64(id_);
   encode_endpoint(w, self_);
-  encode_point(w, target);
   send(seed, net::Chunk::from_bytes(std::move(out)));
 }
 
 void CanNode::send(const net::Endpoint& to, net::Chunk msg) {
-  ++stats_.messages_sent;
   c_messages_sent_->inc();
   send_(to, std::move(msg));
 }
@@ -394,7 +438,6 @@ bool CanNode::route(const Point& target, const net::Chunk& msg, std::uint8_t hop
   }
   net::Chunk fwd = msg;
   fwd.real[1] = static_cast<std::byte>(hops + 1);
-  ++stats_.routed_forwarded;
   c_routed_forwarded_->inc();
   send(best->endpoint, std::move(fwd));
   return true;
@@ -403,7 +446,6 @@ bool CanNode::route(const Point& target, const net::Chunk& msg, std::uint8_t hop
 void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
   if (down_) return;  // a crashed node hears nothing
   WAV_PROF_SCOPE("can", "on_message");
-  ++stats_.messages_received;
   c_messages_received_->inc();
   if (msg.real.size() < 2) return;
   ByteReader r{msg.real};
@@ -412,67 +454,51 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
   if (!type_raw || !hops) return;
   const auto type = static_cast<MsgType>(*type_raw);
 
-  switch (type) {
-    case MsgType::kJoinRequest: {
-      // Peek the target to decide routing before full parsing.
-      ByteReader peek{msg.real};
-      (void)peek.u8();
-      (void)peek.u8();
-      (void)peek.u64();
-      (void)parse_endpoint(peek);
-      const auto target = parse_point(peek);
-      if (!target) return;
-      if (!zone_.contains(*target)) {
-        route(*target, msg, *hops);
-        return;
-      }
-      stats_.total_delivery_hops += *hops;
-      ++stats_.routed_delivered;
-      c_routed_delivered_->inc();
-      h_delivery_hops_->observe(*hops);
-      handle_join_request(msg);
+  // Routed messages lead with their target point: forward one toward the
+  // point's owner, or count its delivery and handle it below.
+  std::optional<Point> target;
+  if (type == MsgType::kJoinRequest || type == MsgType::kStore ||
+      type == MsgType::kErase || type == MsgType::kQuery) {
+    target = parse_point(r);
+    if (!target) return;
+    if (!zone_.contains(*target)) {
+      route(*target, msg, *hops);
       return;
     }
-    case MsgType::kStore:
+    stats_.total_delivery_hops += *hops;
+    ++stats_.routed_delivered;
+    c_routed_delivered_->inc();
+    h_delivery_hops_->observe(*hops);
+  }
+
+  switch (type) {
+    case MsgType::kJoinRequest: {
+      const auto joiner_id = r.u64();
+      const auto joiner_ep = parse_endpoint(r);
+      if (joiner_id && joiner_ep) handle_join_request(*joiner_id, *joiner_ep, *target);
+      return;
+    }
+    case MsgType::kStore: {
+      const auto key = r.u64();
+      const auto ttl_ms = r.u32();
+      auto payload = parse_blob(r);
+      if (!key || !ttl_ms || !payload) return;
+      put_record(Item{std::move(*target), *key, std::move(*payload),
+                      expiry_at(sim_.now(), *ttl_ms)});
+      return;
+    }
     case MsgType::kErase: {
-      ByteReader peek{msg.real};
-      (void)peek.u8();
-      (void)peek.u8();
-      const auto target = parse_point(peek);
-      if (!target) return;
-      if (!zone_.contains(*target)) {
-        route(*target, msg, *hops);
-        return;
-      }
-      stats_.total_delivery_hops += *hops;
-      ++stats_.routed_delivered;
-      c_routed_delivered_->inc();
-      h_delivery_hops_->observe(*hops);
-      if (type == MsgType::kStore) {
-        handle_store(msg);
-      } else {
-        handle_erase(msg);
-      }
+      const auto key = r.u64();
+      const auto payload = parse_blob(r);
+      if (key && payload) erase_record(*key, *payload);
       return;
     }
     case MsgType::kQuery: {
-      ByteReader peek{msg.real};
-      (void)peek.u8();
-      (void)peek.u8();
-      (void)peek.u64();
-      (void)parse_endpoint(peek);
-      const auto target = parse_point(peek);
-      if (!target) return;
-      if (!zone_.contains(*target)) {
-        route(*target, msg, *hops);
-        return;
-      }
-      stats_.total_delivery_hops += *hops;
-      ++stats_.routed_delivered;
-      c_routed_delivered_->inc();
-      h_delivery_hops_->observe(*hops);
       h_query_hops_->observe(*hops);
-      handle_query(msg);
+      const auto query_id = r.u64();
+      const auto requester = parse_endpoint(r);
+      const auto k = r.u16();
+      if (query_id && requester && k) answer_query(*query_id, *requester, *target, *k);
       return;
     }
     case MsgType::kJoinResponse: {
@@ -492,12 +518,8 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
           neighbors_[*nid] = NeighborInfo{*nid, *ep, *nzone, sim_.now(), {}};
         }
       }
-      auto items = parse_items(r, sim_.now());
-      if (items) {
-        for (auto& item : *items) {
-          if (item_observer_) item_observer_(item);
-          items_.push_back(std::move(item));
-        }
+      if (auto items = parse_items(r, sim_.now())) {
+        for (Item& item : *items) put_record(std::move(item));
       }
       announce_to_neighbors();
       hello_timer_.start();
@@ -558,15 +580,9 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
       const auto point = parse_point(r);
       const auto k = r.u16();
       if (!agg_id || !owner_ep || !point || !k) return;
-      std::vector<Item> found;
-      add_items_sorted_by_distance(*point, found, *k);
-      ByteBuffer out;
-      ByteWriter w{out};
-      w.u8(static_cast<std::uint8_t>(MsgType::kNeighborProbeReply));
-      w.u8(0);
-      w.u64(*agg_id);
-      encode_items(w, found, sim_.now());
-      send(*owner_ep, net::Chunk::from_bytes(std::move(out)));
+      expire_records();
+      send_records(*owner_ep, MsgType::kNeighborProbeReply, *agg_id,
+                   nearest(items_, *point, *k));
       return;
     }
     case MsgType::kNeighborProbeReply: {
@@ -613,7 +629,7 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
         // passes a strictly shrinking budget, so the chain is bounded.
         send_zone_takeover(heir->endpoint, static_cast<std::uint8_t>(*hops - 1));
         zone_ = *zone;
-        items_.clear();
+        clear_records();
         ++stats_.zone_takeovers;
         c_zone_takeovers_->inc();
         sim_.tracer().instant(obs::Category::kChaos, "can.zone_cascade",
@@ -626,10 +642,7 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
         log::warn("can", "node {} received unmergeable takeover zone", id_);
       }
       if (items) {
-        for (auto& item : *items) {
-          if (item_observer_) item_observer_(item);
-          items_.push_back(std::move(item));
-        }
+        for (Item& item : *items) put_record(std::move(item));
       }
       // Inherit the departing node's neighbors that now abut our grown
       // zone, so nodes that were adjacent only to the old zone learn us.
@@ -653,36 +666,25 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
   (void)from;
 }
 
-void CanNode::handle_join_request(const net::Chunk& msg) {
-  ByteReader r{msg.real};
-  (void)r.u8();
-  (void)r.u8();
-  const auto joiner_id = r.u64();
-  const auto joiner_ep = parse_endpoint(r);
-  const auto target = parse_point(r);
-  if (!joiner_id || !joiner_ep || !target) return;
-  if (*joiner_id == id_) return;
+void CanNode::handle_join_request(NodeId joiner_id, const net::Endpoint& joiner_ep,
+                                  const Point& target) {
+  if (joiner_id == id_) return;
 
   auto [lower, upper] = zone_.split();
   c_zone_splits_->inc();
   sim_.tracer().instant(obs::Category::kCan, "can.zone_split",
                         "can#" + std::to_string(id_),
-                        "\"joiner\":" + std::to_string(*joiner_id));
-  const bool joiner_gets_lower = lower.contains(*target);
+                        "\"joiner\":" + std::to_string(joiner_id));
+  const bool joiner_gets_lower = lower.contains(target);
   const Zone joiner_zone = joiner_gets_lower ? lower : upper;
   const Zone my_zone = joiner_gets_lower ? upper : lower;
 
-  // Partition items.
+  // Hand over the records in the joiner's half. Walking backwards keeps
+  // take_record's swap-with-last from skipping a record.
   std::vector<Item> transferred;
-  std::vector<Item> kept;
-  for (auto& item : items_) {
-    if (joiner_zone.contains(item.point)) {
-      transferred.push_back(std::move(item));
-    } else {
-      kept.push_back(std::move(item));
-    }
+  for (std::size_t i = items_.size(); i-- > 0;) {
+    if (joiner_zone.contains(items_[i].point)) transferred.push_back(take_record(i));
   }
-  items_ = std::move(kept);
 
   // Build the join response: assigned zone + my neighbor table + myself.
   ByteBuffer out;
@@ -702,84 +704,35 @@ void CanNode::handle_join_request(const net::Chunk& msg) {
   encode_items(w, transferred, sim_.now());
 
   zone_ = my_zone;
-  neighbors_[*joiner_id] = NeighborInfo{*joiner_id, *joiner_ep, joiner_zone, sim_.now(), {}};
+  neighbors_[joiner_id] = NeighborInfo{joiner_id, joiner_ep, joiner_zone, sim_.now(), {}};
   // Announce the shrunken zone to the *old* neighbor set first so nodes
   // that are no longer adjacent drop us; then prune them locally.
   announce_to_neighbors();
   prune_non_adjacent();
 
-  send(*joiner_ep, net::Chunk::from_bytes(std::move(out)));
+  send(joiner_ep, net::Chunk::from_bytes(std::move(out)));
 }
 
-void CanNode::handle_store(const net::Chunk& msg) {
-  ByteReader r{msg.real};
-  (void)r.u8();
-  (void)r.u8();
-  const auto point = parse_point(r);
-  if (!point) return;
-  const auto ttl_ms = r.u32();
-  const auto len = r.u32();
-  if (!ttl_ms || !len) return;
-  const auto payload = r.raw(*len);
-  if (!payload) return;
-  Item item{*point, ByteBuffer{payload->begin(), payload->end()}, kTimeInfinity};
-  if (*ttl_ms != 0) item.expires = sim_.now() + milliseconds(*ttl_ms);
-  // Replace an existing record with identical payload location semantics
-  // (same point + same leading 8 payload bytes act as the record key).
-  if (item_observer_) item_observer_(item);
-  items_.push_back(std::move(item));
-}
-
-void CanNode::handle_erase(const net::Chunk& msg) {
-  ByteReader r{msg.real};
-  (void)r.u8();
-  (void)r.u8();
-  const auto point = parse_point(r);
-  if (!point) return;
-  const auto len = r.u32();
-  if (!len) return;
-  const auto payload = r.raw(*len);
-  if (!payload) return;
-  const ByteBuffer needle{payload->begin(), payload->end()};
-  std::erase_if(items_, [&](const Item& item) {
-    return item.point == *point && item.payload == needle;
-  });
-}
-
-void CanNode::handle_query(const net::Chunk& msg) {
+void CanNode::answer_query(std::uint64_t query_id, const net::Endpoint& requester,
+                           const Point& point, std::size_t k) {
   WAV_PROF_SCOPE("can", "query");
-  ByteReader r{msg.real};
-  (void)r.u8();
-  (void)r.u8();
-  const auto query_id = r.u64();
-  const auto requester = parse_endpoint(r);
-  const auto point = parse_point(r);
-  const auto k = r.u16();
-  if (!query_id || !requester || !point || !k) return;
-
-  std::vector<Item> found;
-  add_items_sorted_by_distance(*point, found, *k);
+  expire_records();
+  const std::vector<const Item*> found = nearest(items_, point, k);
 
   const bool need_expansion =
-      found.size() < *k && config_.neighbor_expansion > 0 && !neighbors_.empty();
+      found.size() < k && config_.neighbor_expansion > 0 && !neighbors_.empty();
   if (!need_expansion) {
-    ByteBuffer out;
-    ByteWriter w{out};
-    w.u8(static_cast<std::uint8_t>(MsgType::kQueryReply));
-    w.u8(0);
-    w.u64(*query_id);
-    encode_items(w, found, sim_.now());
-    send(*requester, net::Chunk::from_bytes(std::move(out)));
+    send_records(requester, MsgType::kQueryReply, query_id, found);
     return;
   }
 
   const std::uint64_t agg_id = next_agg_id_++;
   Aggregation agg;
-  agg.query_id = *query_id;
-  agg.requester = *requester;
-  agg.point = *point;
-  agg.k = *k;
-  agg.collected = std::move(found);
+  agg.query_id = query_id;
+  agg.requester = requester;
+  agg.point = point;
+  agg.k = k;
+  for (const Item* item : found) agg.collected.push_back(*item);
   agg.outstanding = neighbors_.size();
   agg.deadline = sim_.schedule_after(config_.query_timeout,
                                      [this, agg_id] { finish_aggregation(agg_id); });
@@ -792,8 +745,8 @@ void CanNode::handle_query(const net::Chunk& msg) {
     w.u8(0);
     w.u64(agg_id);
     encode_endpoint(w, self_);
-    encode_point(w, *point);
-    w.u16(static_cast<std::uint16_t>(*k));
+    encode_point(w, point);
+    w.u16(static_cast<std::uint16_t>(k));
     send(info.endpoint, net::Chunk::from_bytes(std::move(probe)));
   }
 }
@@ -805,64 +758,60 @@ void CanNode::finish_aggregation(std::uint64_t agg_id) {
   aggregations_.erase(it);
   sim_.cancel(agg.deadline);
 
-  std::sort(agg.collected.begin(), agg.collected.end(),
-            [&](const Item& a, const Item& b) {
-              return point_distance_sq(a.point, agg.point) <
-                     point_distance_sq(b.point, agg.point);
-            });
-  // De-duplicate identical records picked up from both owner and probes.
-  agg.collected.erase(
-      std::unique(agg.collected.begin(), agg.collected.end(),
-                  [](const Item& a, const Item& b) {
-                    return a.point == b.point && a.payload == b.payload;
-                  }),
-      agg.collected.end());
-  if (agg.collected.size() > agg.k) agg.collected.resize(agg.k);
-
-  ByteBuffer out;
-  ByteWriter w{out};
-  w.u8(static_cast<std::uint8_t>(MsgType::kQueryReply));
-  w.u8(0);
-  w.u64(agg.query_id);
-  encode_items(w, agg.collected, sim_.now());
-  send(agg.requester, net::Chunk::from_bytes(std::move(out)));
+  // The owner's and its neighbors' answers can hold the same record
+  // (overlapping claims): keep the copy collected first, the owner's.
+  std::set<RecordKey> seen;
+  std::vector<Item> distinct;
+  for (Item& item : agg.collected) {
+    if (seen.insert(item.key).second) distinct.push_back(std::move(item));
+  }
+  send_records(agg.requester, MsgType::kQueryReply, agg.query_id,
+               nearest(distinct, agg.point, agg.k));
 }
 
-void CanNode::store(const Point& point, ByteBuffer payload, Duration ttl) {
+void CanNode::send_records(const net::Endpoint& to, MsgType type, std::uint64_t id,
+                           const std::vector<const Item*>& records) {
+  ByteBuffer out;
+  ByteWriter w{out};
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(0);
+  w.u64(id);
+  encode_items(w, records, sim_.now());
+  send(to, net::Chunk::from_bytes(std::move(out)));
+}
+
+void CanNode::store(const Point& point, RecordKey key, ByteBuffer payload, Duration ttl) {
+  if (zone_.contains(point)) {
+    ++stats_.routed_delivered;
+    put_record(Item{point, key, std::move(payload), expiry_at(sim_.now(), ttl_to_ms(ttl))});
+    return;
+  }
   ByteBuffer out;
   ByteWriter w{out};
   w.u8(static_cast<std::uint8_t>(MsgType::kStore));
   w.u8(0);
   encode_point(w, point);
-  w.u32(ttl > kZeroDuration
-            ? static_cast<std::uint32_t>(std::min<double>(to_milliseconds(ttl), 4e9))
-            : 0);
+  w.u64(key);
+  w.u32(ttl_to_ms(ttl));
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.raw(payload);
-  const net::Chunk msg = net::Chunk::from_bytes(std::move(out));
-  if (zone_.contains(point)) {
-    stats_.total_delivery_hops += 0;
-    ++stats_.routed_delivered;
-    handle_store(msg);
-  } else {
-    route(point, msg, 0);
-  }
+  route(point, net::Chunk::from_bytes(std::move(out)), 0);
 }
 
-void CanNode::erase(const Point& point, ByteBuffer payload_equals) {
+void CanNode::erase(const Point& point, RecordKey key, ByteBuffer payload) {
+  if (zone_.contains(point)) {
+    erase_record(key, payload);
+    return;
+  }
   ByteBuffer out;
   ByteWriter w{out};
   w.u8(static_cast<std::uint8_t>(MsgType::kErase));
   w.u8(0);
   encode_point(w, point);
-  w.u32(static_cast<std::uint32_t>(payload_equals.size()));
-  w.raw(payload_equals);
-  const net::Chunk msg = net::Chunk::from_bytes(std::move(out));
-  if (zone_.contains(point)) {
-    handle_erase(msg);
-  } else {
-    route(point, msg, 0);
-  }
+  w.u64(key);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(payload);
+  route(point, net::Chunk::from_bytes(std::move(out)), 0);
 }
 
 void CanNode::query(const Point& point, std::size_t k, QueryCallback callback) {
@@ -873,18 +822,21 @@ void CanNode::query(const Point& point, std::size_t k, QueryCallback callback) {
       config_.query_timeout * 4, [this, qid] { expire_query(qid); });
   pending_queries_[qid] = PendingQuery{std::move(callback), deadline, sim_.now()};
 
+  // k rides the wire as a u16, a local answer included.
+  const std::uint16_t wire_k = static_cast<std::uint16_t>(k);
+  if (zone_.contains(point)) {
+    answer_query(qid, self_, point, wire_k);
+    return;
+  }
   ByteBuffer out;
   ByteWriter w{out};
   w.u8(static_cast<std::uint8_t>(MsgType::kQuery));
   w.u8(0);
+  encode_point(w, point);
   w.u64(qid);
   encode_endpoint(w, self_);
-  encode_point(w, point);
-  w.u16(static_cast<std::uint16_t>(k));
-  const net::Chunk msg = net::Chunk::from_bytes(std::move(out));
-  if (zone_.contains(point)) {
-    handle_query(msg);
-  } else if (!route(point, msg, 0)) {
+  w.u16(wire_k);
+  if (!route(point, net::Chunk::from_bytes(std::move(out)), 0)) {
     // Dead end: answer with nothing rather than hang the caller.
     const auto it = pending_queries_.find(qid);
     if (it != pending_queries_.end()) {
@@ -901,7 +853,6 @@ void CanNode::expire_query(std::uint64_t query_id) {
   if (it == pending_queries_.end()) return;
   auto callback = std::move(it->second.callback);
   pending_queries_.erase(it);
-  ++stats_.queries_timed_out;
   c_queries_timed_out_->inc();
   callback({});
 }
@@ -949,7 +900,7 @@ bool CanNode::leave() {
   joined_ = false;
   hello_timer_.stop();
   neighbors_.clear();
-  items_.clear();
+  clear_records();
   pending_handovers_.clear();
   return true;
 }
@@ -1020,22 +971,47 @@ void CanNode::prune_non_adjacent() {
   }
 }
 
-void CanNode::prune_expired_items() {
-  const TimePoint now = sim_.now();
-  std::erase_if(items_, [now](const Item& item) { return item.expires <= now; });
+void CanNode::put_record(Item item) {
+  const auto [slot, fresh] = slots_.try_emplace(item.key, items_.size());
+  if (fresh) {
+    items_.emplace_back();
+  } else {
+    deadlines_.erase({items_[slot->second].expires, item.key});
+  }
+  deadlines_.emplace(item.expires, item.key);
+  items_[slot->second] = std::move(item);
 }
 
-void CanNode::add_items_sorted_by_distance(const Point& p, std::vector<Item>& out,
-                                           std::size_t k) const {
-  const TimePoint now = sim_.now();
-  out.clear();
-  for (const auto& item : items_) {
-    if (item.expires > now) out.push_back(item);
+Item CanNode::take_record(std::size_t index) {
+  Item item = std::move(items_[index]);
+  deadlines_.erase({item.expires, item.key});
+  slots_.erase(item.key);
+  if (index + 1 < items_.size()) {
+    items_[index] = std::move(items_.back());
+    slots_[items_[index].key] = index;
   }
-  std::sort(out.begin(), out.end(), [&](const Item& a, const Item& b) {
-    return point_distance_sq(a.point, p) < point_distance_sq(b.point, p);
-  });
-  if (out.size() > k) out.resize(k);
+  items_.pop_back();
+  return item;
+}
+
+void CanNode::erase_record(RecordKey key, const ByteBuffer& payload) {
+  const auto it = slots_.find(key);
+  if (it != slots_.end() && items_[it->second].payload == payload) {
+    take_record(it->second);
+  }
+}
+
+void CanNode::expire_records() {
+  const TimePoint now = sim_.now();
+  while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+    take_record(slots_.at(deadlines_.begin()->second));
+  }
+}
+
+void CanNode::clear_records() {
+  items_.clear();
+  slots_.clear();
+  deadlines_.clear();
 }
 
 }  // namespace wav::can

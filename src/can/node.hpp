@@ -1,6 +1,6 @@
 // A CAN (Content-Addressable Network) node: zone ownership, greedy point
 // routing, join/leave with zone split/merge, neighbor maintenance, and a
-// point-indexed item store with k-nearest queries.
+// keyed, TTL'd record store with k-nearest queries.
 //
 // The node is transport-agnostic: it emits wire-encoded control messages
 // through a send callback and consumes them via on_message(). WAVNet's
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +24,9 @@
 namespace wav::can {
 
 using NodeId = std::uint64_t;
+/// Names what a stored record describes (WAVNet's rendezvous servers key
+/// host records by host id); an owner keeps one record per key.
+using RecordKey = std::uint64_t;
 
 /// One entry of a neighbor's gossiped neighbor set.
 struct NeighborLink {
@@ -45,31 +49,27 @@ struct NeighborInfo {
 
 struct Item {
   Point point;
+  RecordKey key{0};
   ByteBuffer payload;
-  /// Absolute expiry; owners prune expired items (kTimeInfinity = never).
+  /// Absolute expiry; owners drop expired records (kTimeInfinity = never).
   /// Registrations carry a TTL so records of crashed publishers (or of
   /// rendezvous servers that died with their hosts' state) age out.
   TimePoint expires{kTimeInfinity};
 };
 
+/// Per-node routing counts; every other count lives only in the metrics
+/// registry.
 struct CanStats {
-  std::uint64_t messages_sent{0};
-  std::uint64_t messages_received{0};
-  std::uint64_t routed_forwarded{0};
   std::uint64_t routed_delivered{0};
   std::uint64_t routed_dead_end{0};
   std::uint64_t total_delivery_hops{0};
   std::uint64_t zone_takeovers{0};   // dead-neighbor zones absorbed via liveness
-  std::uint64_t queries_timed_out{0};  // origin-side queries answered empty
 };
 
 class CanNode {
  public:
   using SendFn = std::function<void(const net::Endpoint&, net::Chunk)>;
   using QueryCallback = std::function<void(std::vector<Item>)>;
-  /// Invoked when this node becomes responsible for an item (stored
-  /// locally or transferred during join/leave).
-  using ItemObserver = std::function<void(const Item&)>;
 
   struct Config {
     std::size_t dims{2};
@@ -103,20 +103,27 @@ class CanNode {
   [[nodiscard]] const std::map<NodeId, NeighborInfo>& neighbors() const noexcept {
     return neighbors_;
   }
+  /// The records this node owns, one per key, in no particular order.
   [[nodiscard]] const std::vector<Item>& items() const noexcept { return items_; }
   [[nodiscard]] const CanStats& stats() const noexcept { return stats_; }
 
-  /// Routes a store request toward the owner of `point`. A non-zero TTL
-  /// bounds the record's lifetime unless re-stored.
-  void store(const Point& point, ByteBuffer payload, Duration ttl = kZeroDuration);
+  /// Routes a store toward the owner of `point`, which keeps one record
+  /// per key: a store under a key it already holds replaces that record
+  /// in place (the newest store wins), so re-storing refreshes the TTL.
+  /// A non-zero TTL bounds the record's lifetime unless re-stored.
+  void store(const Point& point, RecordKey key, ByteBuffer payload,
+             Duration ttl = kZeroDuration);
 
-  /// Removes any stored items at exactly `point` whose payload matches
-  /// the predicate — routed to the owner. Used for host deregistration.
-  void erase(const Point& point, ByteBuffer payload_equals);
+  /// Routes an erase toward the owner of `point`, which drops the record
+  /// under `key` only while its payload still equals `payload`: a
+  /// publisher whose record another has since replaced cannot withdraw
+  /// the newer one.
+  void erase(const Point& point, RecordKey key, ByteBuffer payload);
 
   /// K-nearest query: routed to the owner of `point`; the owner answers
-  /// with its own items and (when short of k) polls its direct neighbors
-  /// before replying to this node.
+  /// with its k records nearest the point, ordered by distance and then
+  /// key, and when short of k polls its direct neighbors before replying
+  /// to this node. An answer holds at most one record per key.
   void query(const Point& point, std::size_t k, QueryCallback callback);
 
   /// Graceful departure: merges the zone into the sibling neighbor when
@@ -161,8 +168,6 @@ class CanNode {
   /// hello is what restarts the relinquish-and-rejoin resolution.
   void announce_to(const net::Endpoint& ep);
 
-  void set_item_observer(ItemObserver obs) { item_observer_ = std::move(obs); }
-
  private:
   enum class MsgType : std::uint8_t {
     kJoinRequest = 1,
@@ -198,15 +203,19 @@ class CanNode {
   void send(const net::Endpoint& to, net::Chunk msg);
   /// Greedy geographic routing; returns false on dead end.
   bool route(const Point& target, const net::Chunk& msg, std::uint8_t hops);
-  void handle_join_request(const net::Chunk& msg);
-  void handle_store(const net::Chunk& msg);
-  void handle_erase(const net::Chunk& msg);
-  void handle_query(const net::Chunk& msg);
+  void handle_join_request(NodeId joiner_id, const net::Endpoint& joiner_ep,
+                           const Point& target);
+  /// Answers a k-nearest query for `point`, which this node owns.
+  void answer_query(std::uint64_t query_id, const net::Endpoint& requester,
+                    const Point& point, std::size_t k);
   void finish_aggregation(std::uint64_t agg_id);
+  /// Sends a query or probe answer: `type`, the query or aggregation id,
+  /// then the records.
+  void send_records(const net::Endpoint& to, MsgType type, std::uint64_t id,
+                    const std::vector<const Item*>& records);
   /// Encodes this node's hello (id, endpoint, zone, gossiped neighbors).
   [[nodiscard]] ByteBuffer build_hello() const;
   void announce_to_neighbors();
-  void prune_expired_items();
   void expire_query(std::uint64_t query_id);
   void drop_pending_state();
   void take_over_zone(const NeighborInfo& dead);
@@ -251,8 +260,14 @@ class CanNode {
   void refresh_neighbor(NodeId nid, const net::Endpoint& ep, const Zone& zone,
                         std::vector<NeighborLink> peers = {});
   void prune_non_adjacent();
-  void add_items_sorted_by_distance(const Point& p, std::vector<Item>& out,
-                                    std::size_t k) const;
+
+  // Record store: put_record inserts or replaces by key; take_record
+  // removes and returns one record, moving the last into its slot.
+  void put_record(Item item);
+  Item take_record(std::size_t index);
+  void erase_record(RecordKey key, const ByteBuffer& payload);  // if it matches
+  void expire_records();
+  void clear_records();
 
   sim::Simulation& sim_;
   NodeId id_;
@@ -274,7 +289,12 @@ class CanNode {
   bool down_{false};
   Zone zone_;
   std::map<NodeId, NeighborInfo> neighbors_;
+  /// Records this node owns, one per key. `slots_` maps a key to its
+  /// index in `items_`; `deadlines_` orders every record by expiry, so
+  /// expiring visits only the records that are due.
   std::vector<Item> items_;
+  std::unordered_map<RecordKey, std::size_t> slots_;
+  std::set<std::pair<TimePoint, RecordKey>> deadlines_;
   std::vector<PendingHandover> pending_handovers_;
   CanStats stats_;
 
@@ -283,7 +303,6 @@ class CanNode {
   std::unordered_map<std::uint64_t, Aggregation> aggregations_;
   std::uint64_t next_agg_id_{1};
   sim::PeriodicTimer hello_timer_;
-  ItemObserver item_observer_;
 
   obs::Counter* c_messages_sent_{nullptr};
   obs::Counter* c_messages_received_{nullptr};

@@ -6,6 +6,17 @@
 #include "obs/profiler.hpp"
 
 namespace wav::overlay {
+namespace {
+
+/// The CAN payload of a host's record: its full HostInfo.
+ByteBuffer host_record(const HostInfo& info) {
+  ByteBuffer blob;
+  ByteWriter w{blob};
+  encode_host_info(w, info);
+  return blob;
+}
+
+}  // namespace
 
 RendezvousServer::RendezvousServer(stack::IpLayer& ip)
     : RendezvousServer(ip, Config{}) {}
@@ -177,12 +188,7 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
       if (const auto msg = parse_deregister(*chunk)) {
         const auto it = hosts_.find(msg->host_id);
         if (it != hosts_.end()) {
-          can_.erase(attrs_to_point(it->second.info.attributes), [&] {
-            ByteBuffer buf;
-            ByteWriter w{buf};
-            encode_host_info(w, it->second.info);
-            return buf;
-          }());
+          withdraw(it->second.info);
           hosts_.erase(it);
           sync_host_gauge();
         }
@@ -198,14 +204,9 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
           it->second.last_seen = ip_.sim().now();
           it->second.observed = from;  // NAT rebinding keeps working
           note_alive(msg->host_id, it->second.last_seen);
-          // Refresh the CAN record's TTL (erase the old copy first so
-          // re-stores do not pile up duplicates).
-          ByteBuffer blob;
-          ByteWriter w{blob};
-          encode_host_info(w, it->second.info);
-          can_.erase(attrs_to_point(it->second.info.attributes), blob);
-          can_.store(attrs_to_point(it->second.info.attributes), std::move(blob),
-                     config_.host_expiry);
+          // The owner replaces the host's record in place, which
+          // refreshes its TTL.
+          publish(it->second.info);
         } else {
           // A heartbeat from a host we don't know means our tables were
           // wiped (crash/restart) after it registered. Telling it so —
@@ -305,13 +306,6 @@ void RendezvousServer::handle_register(const net::Endpoint& from, const Register
   ip_.sim().tracer().instant(obs::Category::kOverlay, "rendezvous.register",
                              ip_.ip_address().to_string(),
                              "\"host\":" + std::to_string(msg.info.host_id));
-  // Re-registration: drop the stale CAN record first.
-  if (const auto it = hosts_.find(msg.info.host_id); it != hosts_.end()) {
-    ByteBuffer old;
-    ByteWriter ow{old};
-    encode_host_info(ow, it->second.info);
-    can_.erase(attrs_to_point(it->second.info.attributes), std::move(old));
-  }
   Registered reg;
   reg.info = msg.info;
   // The source endpoint we observe *is* the host's NAT mapping for its
@@ -320,14 +314,8 @@ void RendezvousServer::handle_register(const net::Endpoint& from, const Register
   reg.info.rendezvous = host_endpoint();
   reg.observed = from;
   reg.last_seen = ip_.sim().now();
-
-  // Index the host in the CAN by its resource-state point, bounded by a
-  // TTL so records don't outlive a crashed host (or a rendezvous server
-  // that died before cleaning up) — heartbeats refresh it below.
-  ByteBuffer blob;
-  ByteWriter w{blob};
-  encode_host_info(w, reg.info);
-  can_.store(attrs_to_point(reg.info.attributes), std::move(blob), config_.host_expiry);
+  // A re-registration replaces the host's record, wherever it came from.
+  publish(reg.info);
 
   const TimePoint seen = reg.last_seen;
   hosts_[msg.info.host_id] = std::move(reg);
@@ -347,24 +335,27 @@ void RendezvousServer::handle_query(const net::Endpoint& from, const QueryMsg& m
   c_queries_->inc();
   const can::Point target = attrs_to_point(msg.target);
   const std::uint64_t query_id = msg.query_id;
-  const std::uint16_t k = msg.k;
-  can_.query(target, k, [this, from, query_id, k](std::vector<can::Item> items) {
+  can_.query(target, msg.k, [this, from, query_id](std::vector<can::Item> items) {
+    // The CAN answers with at most one record per host id.
     QueryReplyMsg reply;
     reply.query_id = query_id;
     for (const auto& item : items) {
       ByteReader r{item.payload};
-      if (const auto info = parse_host_info(r)) {
-        // Registrations can be refreshed; keep only the first (closest)
-        // record per host id.
-        const bool dup = std::any_of(
-            reply.hosts.begin(), reply.hosts.end(),
-            [&](const HostInfo& h) { return h.host_id == info->host_id; });
-        if (!dup) reply.hosts.push_back(*info);
-      }
+      if (auto info = parse_host_info(r)) reply.hosts.push_back(std::move(*info));
     }
-    if (reply.hosts.size() > k) reply.hosts.resize(k);
     host_socket_.send_to(from, encode(reply));
   });
+}
+
+void RendezvousServer::publish(const HostInfo& info) {
+  // Bounded by a TTL so records don't outlive a crashed host (or a
+  // rendezvous server that died before cleaning up); heartbeats re-store.
+  can_.store(attrs_to_point(info.attributes), info.host_id, host_record(info),
+             config_.host_expiry);
+}
+
+void RendezvousServer::withdraw(const HostInfo& info) {
+  can_.erase(attrs_to_point(info.attributes), info.host_id, host_record(info));
 }
 
 void RendezvousServer::handle_connect_request(const net::Endpoint& from,
@@ -457,10 +448,7 @@ void RendezvousServer::expire_stale_hosts() {
       const auto it = hosts_.find(id);
       if (it == hosts_.end()) continue;  // departed or already expired
       if (now - it->second.last_seen <= config_.host_expiry) continue;  // refreshed
-      ByteBuffer blob;
-      ByteWriter w{blob};
-      encode_host_info(w, it->second.info);
-      can_.erase(attrs_to_point(it->second.info.attributes), std::move(blob));
+      withdraw(it->second.info);
       c_hosts_expired_->inc();
       hosts_.erase(it);
     }

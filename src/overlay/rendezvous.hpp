@@ -125,6 +125,11 @@ class RendezvousServer {
   void handle_connect_request(const net::Endpoint& from, const ConnectRequestMsg& msg);
   void handle_rv_forward(const net::Endpoint& from, const RvForwardNotifyMsg& msg);
   void expire_stale_hosts();
+  /// Stores (or refreshes) the host's CAN record, keyed by host id.
+  void publish(const HostInfo& info);
+  /// Withdraws the host's CAN record unless another shard has since
+  /// replaced it with a newer registration.
+  void withdraw(const HostInfo& info);
   /// Appends the host to the expiry bucket matching `last_seen +
   /// host_expiry`. Buckets use lazy deletion: refreshes just append to a
   /// later bucket, and the expiry sweep skips entries whose host turned

@@ -11,6 +11,10 @@ namespace {
 
 using overlay::MsgType;
 
+/// Epoch records share the CAN with host records, which rendezvous
+/// servers key by host id; the tag keeps group keys out of that space.
+constexpr can::RecordKey kEpochKeyTag = 0x4750'0000'0000'0000ULL;
+
 /// Sorted-insert / erase helpers for the epoch's id lists.
 void insert_sorted(std::vector<std::uint64_t>& v, std::uint64_t id) {
   const auto it = std::lower_bound(v.begin(), v.end(), id);
@@ -68,7 +72,6 @@ void GroupAuthority::crash() {
   down_ = true;
   records_.clear();
   member_endpoints_.clear();
-  can_payloads_.clear();
   g_groups_->set(0);
   can_refresh_timer_.stop();
   rv_.udp().sim().tracer().instant(obs::Category::kChaos, "vpg.authority_crash",
@@ -97,13 +100,10 @@ can::Point GroupAuthority::can_point(GroupId group) const {
 }
 
 void GroupAuthority::store_in_can(const GroupEpoch& epoch) {
-  const can::Point point = can_point(epoch.group);
-  if (const auto it = can_payloads_.find(epoch.group); it != can_payloads_.end()) {
-    rv_.can_node().erase(point, it->second);
-  }
-  ByteBuffer payload = epoch_to_bytes(epoch);
-  can_payloads_[epoch.group] = payload;
-  rv_.can_node().store(point, std::move(payload), config_.can_ttl);
+  // One record per group: every store replaces it, so a version bump
+  // leaves no stale record behind.
+  rv_.can_node().store(can_point(epoch.group), kEpochKeyTag | epoch.group,
+                       epoch_to_bytes(epoch), config_.can_ttl);
 }
 
 void GroupAuthority::recover_from_can(GroupId group) {

@@ -92,9 +92,6 @@ class GroupAuthority {
   // every downstream export) deterministic.
   std::map<GroupId, GroupEpoch> records_;
   std::map<std::uint64_t, net::Endpoint> member_endpoints_;
-  // Last payload stored in CAN per group, so a version bump can erase
-  // the stale record instead of leaving both behind.
-  std::map<GroupId, ByteBuffer> can_payloads_;
   sim::PeriodicTimer can_refresh_timer_;
 
   obs::Counter* c_ops_applied_{nullptr};

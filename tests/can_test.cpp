@@ -144,11 +144,11 @@ TEST(CanOverlay, StoreRoutesToOwnerAndQueryFindsIt) {
   Rng rng{7};
   // Store 40 items from random origin nodes at random points.
   std::vector<Point> points;
-  for (int i = 0; i < 40; ++i) {
+  for (std::uint64_t i = 0; i < 40; ++i) {
     const Point p = Point::random(rng, 2);
     points.push_back(p);
     const auto origin = rng.uniform_u64(0, overlay.nodes_.size() - 1);
-    overlay.nodes_[origin]->store(p, to_bytes("item-" + std::to_string(i)));
+    overlay.nodes_[origin]->store(p, i, to_bytes("item-" + std::to_string(i)));
   }
   overlay.sim_.run_for(seconds(2));
 
@@ -176,9 +176,9 @@ TEST(CanOverlay, StoreRoutesToOwnerAndQueryFindsIt) {
 TEST(CanOverlay, QueryExpandsToNeighborsWhenShort) {
   Overlay overlay{8};
   Rng rng{99};
-  for (int i = 0; i < 30; ++i) {
+  for (std::uint64_t i = 0; i < 30; ++i) {
     const Point p = Point::random(rng, 2);
-    overlay.nodes_[0]->store(p, to_bytes("host-" + std::to_string(i)));
+    overlay.nodes_[0]->store(p, i, to_bytes("host-" + std::to_string(i)));
   }
   overlay.sim_.run_for(seconds(2));
 
@@ -197,19 +197,80 @@ TEST(CanOverlay, QueryExpandsToNeighborsWhenShort) {
 TEST(CanOverlay, EraseRemovesRecord) {
   Overlay overlay{4};
   const Point p{{0.7, 0.2}};
-  overlay.nodes_[2]->store(p, to_bytes("gone"));
+  overlay.nodes_[2]->store(p, 1, to_bytes("gone"));
   overlay.sim_.run_for(seconds(1));
-  overlay.nodes_[1]->erase(p, to_bytes("gone"));
+  overlay.nodes_[1]->erase(p, 1, to_bytes("gone"));
   overlay.sim_.run_for(seconds(1));
   for (const auto& n : overlay.nodes_) EXPECT_TRUE(n->items().empty());
+}
+
+/// The records all nodes of the overlay hold, in no particular order.
+std::vector<Item> all_records(const Overlay& overlay) {
+  std::vector<Item> out;
+  for (const auto& n : overlay.nodes_) {
+    out.insert(out.end(), n->items().begin(), n->items().end());
+  }
+  return out;
+}
+
+TEST(CanRecords, StoreUnderAHeldKeyReplacesTheRecordAndItsTtl) {
+  Overlay overlay{4};
+  const Point p{{0.3, 0.6}};
+  overlay.nodes_[0]->store(p, 7, to_bytes("old"), seconds(10));
+  overlay.sim_.run_for(seconds(6));
+  overlay.nodes_[1]->store(p, 7, to_bytes("new"), seconds(10));
+  overlay.sim_.run_for(seconds(1));
+  const std::vector<Item> held = all_records(overlay);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(bytes_to_string(held[0].payload), "new");
+
+  // The first publisher withdraws what it stored, but that record was
+  // replaced: the newer one stays.
+  overlay.nodes_[0]->erase(p, 7, to_bytes("old"));
+  overlay.sim_.run_for(seconds(1));
+  ASSERT_EQ(all_records(overlay).size(), 1u);
+
+  // 12 s after the first store its TTL has passed; the refresh's has
+  // not, so a query still finds the record.
+  overlay.sim_.run_for(seconds(4));
+  std::vector<Item> found;
+  overlay.nodes_[2]->query(p, 4, [&](std::vector<Item> items) { found = std::move(items); });
+  overlay.sim_.run_for(seconds(1));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(bytes_to_string(found[0].payload), "new");
+
+  // Past the refreshed TTL the owner drops the record.
+  overlay.sim_.run_for(seconds(10));
+  overlay.nodes_[2]->query(p, 4, [&](std::vector<Item> items) { found = std::move(items); });
+  overlay.sim_.run_for(seconds(1));
+  EXPECT_TRUE(found.empty());
+  EXPECT_TRUE(all_records(overlay).empty());
+}
+
+TEST(CanRecords, QueryBreaksDistanceTiesByKey) {
+  // Equidistant records come back in key order whatever order they were
+  // stored in, and a k-nearest answer never depends on storage order.
+  Overlay overlay{1};
+  const Point p{{0.4, 0.4}};
+  for (const can::RecordKey key : std::initializer_list<can::RecordKey>{5, 3, 9, 1, 7}) {
+    overlay.nodes_[0]->store(p, key, to_bytes("k" + std::to_string(key)));
+  }
+  overlay.nodes_[0]->store(Point{{0.4, 0.41}}, 0, to_bytes("farther"));
+  std::vector<Item> found;
+  overlay.nodes_[0]->query(p, 3, [&](std::vector<Item> items) { found = std::move(items); });
+  overlay.sim_.run_for(seconds(1));
+  ASSERT_EQ(found.size(), 3u);
+  EXPECT_EQ(found[0].key, 1u);
+  EXPECT_EQ(found[1].key, 3u);
+  EXPECT_EQ(found[2].key, 5u);
 }
 
 TEST(CanOverlay, RoutingHopsAreBounded) {
   Overlay overlay{25};
   Rng rng{5};
-  for (int i = 0; i < 100; ++i) {
+  for (std::uint64_t i = 0; i < 100; ++i) {
     const auto origin = rng.uniform_u64(0, overlay.nodes_.size() - 1);
-    overlay.nodes_[origin]->store(Point::random(rng, 2), to_bytes("x"));
+    overlay.nodes_[origin]->store(Point::random(rng, 2), i, to_bytes("x"));
   }
   overlay.sim_.run_for(seconds(5));
 
@@ -231,7 +292,7 @@ TEST(CanOverlay, RoutingHopsAreBounded) {
 TEST(CanOverlay, GracefulLeaveMergesZone) {
   Overlay overlay{2};
   ASSERT_TRUE(overlay.nodes_[1]->joined());
-  overlay.nodes_[1]->store(Point{{0.9, 0.9}}, to_bytes("keep-me"));
+  overlay.nodes_[1]->store(Point{{0.9, 0.9}}, 1, to_bytes("keep-me"));
   overlay.sim_.run_for(seconds(1));
 
   EXPECT_TRUE(overlay.nodes_[1]->leave());

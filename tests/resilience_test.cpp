@@ -511,7 +511,7 @@ TEST(Chaos, CanNeighborCrashTakeoverKeepsLookupsRoutable) {
 
   // Store at the orphaned zone's center and look it up from afar: the
   // greedy route must terminate at the new owner, not a dead end.
-  nodes[0]->store(inside, to_bytes("reclaimed"));
+  nodes[0]->store(inside, 1, to_bytes("reclaimed"));
   sim.run_for(seconds(2));
   bool answered = false;
   nodes[5]->query(inside, 1, [&](std::vector<can::Item> items) {
