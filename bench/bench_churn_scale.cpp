@@ -78,6 +78,7 @@ TierResult run_tier(std::size_t n_hosts, std::uint64_t seed, int tier_index) {
   result.hosts = n_hosts;
 
   sim::Simulation sim{seed};
+  sim.tracer().set_enabled(!benchx::obs_options().trace_out.empty());
   fabric::Network network{sim};
   fabric::Wan wan{network};
 

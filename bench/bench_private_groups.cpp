@@ -92,6 +92,7 @@ struct RunResult {
 RunResult run(std::uint64_t seed) {
   RunResult result;
   sim::Simulation sim{seed};
+  sim.tracer().set_enabled(!benchx::obs_options().trace_out.empty());
   sim.flows().set_sample_shift(0);  // every flow sampled: typed drops visible
   fabric::Network network{sim};
   fabric::Wan wan{network};

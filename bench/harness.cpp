@@ -200,6 +200,7 @@ World::World(Plane plane, std::uint64_t seed)
       sim_(seed),
       network_(sim_),
       wan_(std::make_unique<fabric::Wan>(network_)) {
+  sim_.tracer().set_enabled(!g_obs.trace_out.empty());
   const Duration interval = seconds_f(g_obs.sample_interval_s);
   obs::TimeSeriesSampler::Config cfg;
   cfg.interval = interval;

@@ -359,7 +359,6 @@ bool CanNode::adopt_zone_via_handover(const NeighborInfo& dead) {
   send_zone_takeover(heir->endpoint, kCascadeBudget);
   zone_ = dead.zone;
   clear_records();  // the old zone's records now live at the heir
-  ++stats_.zone_takeovers;
   c_zone_takeovers_->inc();
   sim_.tracer().instant(obs::Category::kChaos, "can.zone_handover",
                         "can#" + std::to_string(id_),
@@ -381,7 +380,6 @@ void CanNode::take_over_zone(const NeighborInfo& dead) {
   const auto merged = zone_.merged_with(dead.zone);
   if (!merged) return;
   zone_ = *merged;
-  ++stats_.zone_takeovers;
   c_zone_takeovers_->inc();
   sim_.tracer().instant(obs::Category::kChaos, "can.zone_takeover",
                         "can#" + std::to_string(id_),
@@ -416,7 +414,6 @@ void CanNode::send(const net::Endpoint& to, net::Chunk msg) {
 bool CanNode::route(const Point& target, const net::Chunk& msg, std::uint8_t hops) {
   WAV_PROF_SCOPE("can", "route");
   if (hops >= kMaxHops) {
-    ++stats_.routed_dead_end;
     c_routed_dead_end_->inc();
     return false;
   }
@@ -431,7 +428,6 @@ bool CanNode::route(const Point& target, const net::Chunk& msg, std::uint8_t hop
     }
   }
   if (best == nullptr) {
-    ++stats_.routed_dead_end;
     c_routed_dead_end_->inc();
     log::debug("can", "node {} dead-ends routing to {}", id_, target.to_string());
     return false;
@@ -465,8 +461,6 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
       route(*target, msg, *hops);
       return;
     }
-    stats_.total_delivery_hops += *hops;
-    ++stats_.routed_delivered;
     c_routed_delivered_->inc();
     h_delivery_hops_->observe(*hops);
   }
@@ -630,7 +624,6 @@ void CanNode::on_message(const net::Endpoint& from, const net::Chunk& msg) {
         send_zone_takeover(heir->endpoint, static_cast<std::uint8_t>(*hops - 1));
         zone_ = *zone;
         clear_records();
-        ++stats_.zone_takeovers;
         c_zone_takeovers_->inc();
         sim_.tracer().instant(obs::Category::kChaos, "can.zone_cascade",
                               "can#" + std::to_string(id_),
@@ -782,7 +775,6 @@ void CanNode::send_records(const net::Endpoint& to, MsgType type, std::uint64_t 
 
 void CanNode::store(const Point& point, RecordKey key, ByteBuffer payload, Duration ttl) {
   if (zone_.contains(point)) {
-    ++stats_.routed_delivered;
     put_record(Item{point, key, std::move(payload), expiry_at(sim_.now(), ttl_to_ms(ttl))});
     return;
   }

@@ -57,15 +57,6 @@ struct Item {
   TimePoint expires{kTimeInfinity};
 };
 
-/// Per-node routing counts; every other count lives only in the metrics
-/// registry.
-struct CanStats {
-  std::uint64_t routed_delivered{0};
-  std::uint64_t routed_dead_end{0};
-  std::uint64_t total_delivery_hops{0};
-  std::uint64_t zone_takeovers{0};   // dead-neighbor zones absorbed via liveness
-};
-
 class CanNode {
  public:
   using SendFn = std::function<void(const net::Endpoint&, net::Chunk)>;
@@ -105,7 +96,6 @@ class CanNode {
   }
   /// The records this node owns, one per key, in no particular order.
   [[nodiscard]] const std::vector<Item>& items() const noexcept { return items_; }
-  [[nodiscard]] const CanStats& stats() const noexcept { return stats_; }
 
   /// Routes a store toward the owner of `point`, which keeps one record
   /// per key: a store under a key it already holds replaces that record
@@ -296,7 +286,6 @@ class CanNode {
   std::unordered_map<RecordKey, std::size_t> slots_;
   std::set<std::pair<TimePoint, RecordKey>> deadlines_;
   std::vector<PendingHandover> pending_handovers_;
-  CanStats stats_;
 
   std::uint64_t next_query_id_{1};
   std::unordered_map<std::uint64_t, PendingQuery> pending_queries_;

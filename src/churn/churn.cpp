@@ -119,6 +119,18 @@ void ChurnEngine::stop() {
   tick_timer_.stop();
 }
 
+ChurnEngine::Stats ChurnEngine::stats() const noexcept {
+  Stats s;
+  s.arrivals = c_arrivals_->value();
+  s.departures_graceful = c_departures_->value();
+  s.crashes = c_crashes_->value();
+  s.rehomes = c_rehomes_->value();
+  s.connects_attempted = c_connects_attempted_->value();
+  s.connects_ok = c_connects_ok_->value();
+  s.connects_failed = c_connects_failed_->value();
+  return s;
+}
+
 void ChurnEngine::arrive(std::size_t idx) {
   WAV_PROF_SCOPE("churn", "arrive");
   Slot& slot = slots_[idx];
@@ -128,7 +140,6 @@ void ChurnEngine::arrive(std::size_t idx) {
   slot.was_registered = false;
   slot.lost_registration_at = kTimeInfinity;
   ++online_;
-  ++stats_.arrivals;
   c_arrivals_->inc();
   g_online_->set(static_cast<double>(online_));
   if (!slot.started) {
@@ -160,10 +171,8 @@ void ChurnEngine::depart(std::size_t idx) {
   slot.lost_registration_at = kTimeInfinity;
   --online_;
   if (crash) {
-    ++stats_.crashes;
     c_crashes_->inc();
   } else {
-    ++stats_.departures_graceful;
     c_departures_->inc();
   }
   g_online_->set(static_cast<double>(online_));
@@ -207,14 +216,11 @@ void ChurnEngine::issue_connects(std::size_t idx) {
       if (dialed >= plan_.connect_fanout) break;
       if (agent->link_established(peer.host_id)) continue;
       ++dialed;
-      ++stats_.connects_attempted;
       c_connects_attempted_->inc();
       agent->connect_to(peer, [this](bool ok, overlay::HostId) {
         if (ok) {
-          ++stats_.connects_ok;
           c_connects_ok_->inc();
         } else {
-          ++stats_.connects_failed;
           c_connects_failed_->inc();
         }
       });
@@ -238,7 +244,6 @@ void ChurnEngine::tick() {
     const std::uint32_t failovers = slot.agent->rendezvous_failovers();
     if (failovers > slot.last_failovers) {
       const std::uint32_t delta = failovers - slot.last_failovers;
-      stats_.rehomes += delta;
       c_rehomes_->inc(delta);
       slot.last_failovers = failovers;
     }

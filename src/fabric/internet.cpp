@@ -58,7 +58,6 @@ std::size_t InternetNode::iface_index_of(const Link& link) {
 
 void InternetNode::forward(net::IpPacket pkt, Link& from) {
   if (pkt.ttl <= 1) {
-    ++stats_.dropped_ttl;
     note_flow_drop(sim(), pkt, name(), obs::DropReason::kTtlExpired);
     return;
   }
@@ -66,7 +65,6 @@ void InternetNode::forward(net::IpPacket pkt, Link& from) {
 
   const Interface* out = route_lookup(pkt.dst);
   if (out == nullptr) {
-    ++stats_.dropped_no_route;
     note_flow_drop(sim(), pkt, name(), obs::DropReason::kNoRoute);
     log::trace("internet", "unroutable dst {}", pkt.dst.to_string());
     return;
@@ -78,7 +76,6 @@ void InternetNode::forward(net::IpPacket pkt, Link& from) {
       static_cast<std::size_t>(out - interfaces().data());
 
   if (blocked_pairs_.contains(key(in_idx, out_idx))) {
-    ++partition_drops_;
     c_partition_drops_->inc();
     note_flow_drop(sim(), pkt, name(), obs::DropReason::kPartition);
     return;
@@ -96,7 +93,6 @@ void InternetNode::forward(net::IpPacket pkt, Link& from) {
     extra = seconds_f(std::max(0.0, to_seconds(extra) + jitter_s));
   }
 
-  ++stats_.forwarded;
   if (extra <= kZeroDuration) {
     transmit(*out, std::move(pkt));
     return;

@@ -37,9 +37,6 @@ class InternetNode : public Node {
   [[nodiscard]] bool blocked(std::size_t iface_a, std::size_t iface_b) const {
     return blocked_pairs_.contains(key(iface_a, iface_b));
   }
-  [[nodiscard]] std::uint64_t partition_drops() const noexcept {
-    return partition_drops_;
-  }
 
  protected:
   void forward(net::IpPacket pkt, Link& from) override;
@@ -58,7 +55,6 @@ class InternetNode : public Node {
   // over interfaces() turns the core O(N²). Attachments are append-only,
   // so the map is rebuilt lazily when the interface count grows.
   std::unordered_map<const Link*, std::size_t> iface_by_link_;
-  std::uint64_t partition_drops_{0};
   obs::Counter* c_partition_drops_{nullptr};
   // FIFO clamp per directed (in,out) interface pair: core jitter must
   // not reorder packets of one flow.

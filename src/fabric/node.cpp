@@ -44,8 +44,6 @@ void Node::add_route(net::Ipv4Subnet dest, std::size_t iface_index) {
 void Node::set_default_route(std::size_t iface_index) { default_route_ = iface_index; }
 
 void Node::receive_from_link(net::IpPacket pkt, Link& from) {
-  ++stats_.rx_packets;
-  stats_.rx_bytes += pkt.wire_size();
   if (tap_) tap_(pkt, from);
 
   if (owns_address(pkt.dst) || pkt.dst.is_broadcast()) {
@@ -58,7 +56,6 @@ void Node::receive_from_link(net::IpPacket pkt, Link& from) {
 bool Node::originate(net::IpPacket pkt) {
   const Interface* out = route_lookup(pkt.dst);
   if (out == nullptr) {
-    ++stats_.dropped_no_route;
     log::trace("node", "{}: no route to {}", name_, pkt.dst.to_string());
     return false;
   }
@@ -75,18 +72,13 @@ void Node::deliver_local(const net::IpPacket& pkt, Link& from) {
 
 void Node::forward(net::IpPacket pkt, Link& from) {
   (void)from;
-  if (pkt.ttl <= 1) {
-    ++stats_.dropped_ttl;
-    return;
-  }
+  if (pkt.ttl <= 1) return;
   pkt.ttl = static_cast<std::uint8_t>(pkt.ttl - 1);
   const Interface* out = route_lookup(pkt.dst);
   if (out == nullptr) {
-    ++stats_.dropped_no_route;
     log::trace("node", "{}: cannot forward to {}", name_, pkt.dst.to_string());
     return;
   }
-  ++stats_.forwarded;
   transmit(*out, std::move(pkt));
 }
 
@@ -102,8 +94,6 @@ const Interface* Node::route_lookup(net::Ipv4Address dst) const {
 }
 
 void Node::transmit(const Interface& out, net::IpPacket pkt) {
-  ++stats_.tx_packets;
-  stats_.tx_bytes += pkt.wire_size();
   out.link->transmit(*this, std::move(pkt));
 }
 

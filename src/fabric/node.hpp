@@ -26,16 +26,6 @@ struct Interface {
   net::Ipv4Subnet subnet{};
 };
 
-struct NodeStats {
-  std::uint64_t rx_packets{0};
-  std::uint64_t rx_bytes{0};
-  std::uint64_t tx_packets{0};
-  std::uint64_t tx_bytes{0};
-  std::uint64_t forwarded{0};
-  std::uint64_t dropped_no_route{0};
-  std::uint64_t dropped_ttl{0};
-};
-
 class Node {
  public:
   Node(Network& network, std::string name);
@@ -71,8 +61,6 @@ class Node {
   /// route exists.
   bool originate(net::IpPacket pkt);
 
-  [[nodiscard]] const NodeStats& stats() const noexcept { return stats_; }
-
   /// Optional tap observing every packet that arrives at this node (used
   /// by tests and by the tcpdump-style capture in experiments).
   using PacketTap = std::function<void(const net::IpPacket&, const Link&)>;
@@ -91,8 +79,6 @@ class Node {
 
   /// Transmits on a specific interface.
   void transmit(const Interface& out, net::IpPacket pkt);
-
-  NodeStats stats_;
 
  private:
   Network& network_;

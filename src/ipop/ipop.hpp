@@ -84,10 +84,7 @@ class IpopHost : public wavnet::BridgePort {
 
   struct Stats {
     std::uint64_t packets_originated{0};
-    std::uint64_t packets_forwarded{0};   // transit through this node
     std::uint64_t packets_delivered{0};
-    std::uint64_t packets_dropped_no_route{0};
-    std::uint64_t packets_dropped_backlog{0};
     std::uint64_t total_hops_delivered{0};
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -102,8 +99,7 @@ class IpopHost : public wavnet::BridgePort {
 
  private:
   void on_overlay_frame(overlay::HostId from, const net::EncapFrame& encap);
-  void route(const net::EthernetFrame& frame, OverlayId target, std::uint8_t hops,
-             bool originated);
+  void route(const net::EthernetFrame& frame, OverlayId target, std::uint8_t hops);
   [[nodiscard]] overlay::HostId next_hop_toward(OverlayId target) const;
   void answer_arp_locally(const net::ArpMessage& arp);
 

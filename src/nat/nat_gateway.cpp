@@ -141,7 +141,6 @@ void NatGateway::drop_expired() {
       FlowKey key{b.private_ip, b.private_port, b.protocol, {}};
       if (config_.type == NatType::kSymmetric) key.remote = b.symmetric_remote;
       flow_to_port_.erase(key);
-      ++nat_stats_.expired_bindings;
       c_expired_bindings_->inc();
       sim().tracer().instant(obs::Category::kNat, "nat.binding_expired", name(),
                              "\"public_port\":" + std::to_string(b.public_port));
@@ -182,7 +181,6 @@ NatGateway::Binding* NatGateway::find_or_create_binding(const FlowKey& key) {
     const auto bit = port_to_binding_.find(pkey);
     if (bit != port_to_binding_.end()) {
       if (!is_expired(bit->second)) return &bit->second;
-      ++nat_stats_.expired_bindings;
       c_expired_bindings_->inc();
       sim().tracer().instant(
           obs::Category::kNat, "nat.binding_expired", name(),
@@ -199,7 +197,6 @@ NatGateway::Binding* NatGateway::find_or_create_binding(const FlowKey& key) {
   b.protocol = key.protocol;
   b.symmetric_remote = key.remote;
   b.last_used = sim().now();
-  ++nat_stats_.bindings_created;
   c_bindings_created_->inc();
   sim().tracer().instant(obs::Category::kNat, "nat.binding_created", name(),
                          "\"public_port\":" + std::to_string(port));
@@ -214,7 +211,7 @@ NatGateway::Binding* NatGateway::find_or_create_binding(const FlowKey& key) {
 void NatGateway::forward(net::IpPacket pkt, fabric::Link& from) {
   WAV_PROF_SCOPE("nat", "forward");
   if (down_) {
-    ++nat_stats_.dropped_down;
+    ++dropped_down_;
     note_flow_drop(pkt, obs::DropReason::kNatDown);
     return;
   }
@@ -222,13 +219,11 @@ void NatGateway::forward(net::IpPacket pkt, fabric::Link& from) {
   if (from_wan) {
     // WAN-side packet not addressed to our public IP: a plain router
     // would forward, but a NAT has no mapping — drop.
-    ++nat_stats_.blocked_inbound;
     c_blocked_inbound_->inc();
     note_flow_drop(pkt, obs::DropReason::kNatMappingMiss);
     return;
   }
   if (pkt.ttl <= 1) {
-    ++stats_.dropped_ttl;
     note_flow_drop(pkt, obs::DropReason::kTtlExpired);
     return;
   }
@@ -238,7 +233,6 @@ void NatGateway::forward(net::IpPacket pkt, fabric::Link& from) {
   // to the destination means plain routing, no translation.
   if (const fabric::Interface* out = route_lookup(pkt.dst);
       out != nullptr && out != &interfaces()[wan_iface_]) {
-    ++stats_.forwarded;
     transmit(*out, std::move(pkt));
     return;
   }
@@ -249,7 +243,6 @@ void NatGateway::translate_outbound(net::IpPacket pkt) {
   WAV_PROF_SCOPE("nat", "translate_outbound");
   const auto ports = l4_ports(pkt);
   if (!ports) {
-    ++stats_.dropped_no_route;
     note_flow_drop(pkt, obs::DropReason::kNoRoute);
     return;
   }
@@ -264,7 +257,6 @@ void NatGateway::translate_outbound(net::IpPacket pkt) {
 
   pkt.src = public_ip();
   set_src_port(pkt, b->public_port);
-  ++nat_stats_.translated_outbound;
   c_translated_outbound_->inc();
   if (const net::FlowContext* fc = obs::flow_of(pkt)) {
     sim().flows().forwarded(*fc, obs::HopComponent::kNat, name());
@@ -274,14 +266,13 @@ void NatGateway::translate_outbound(net::IpPacket pkt) {
 
 void NatGateway::deliver_local(const net::IpPacket& pkt, fabric::Link& from) {
   if (down_) {
-    ++nat_stats_.dropped_down;
+    ++dropped_down_;
     note_flow_drop(pkt, obs::DropReason::kNatDown);
     return;
   }
   const bool from_wan = interfaces()[wan_iface_].link == &from;
   if (!from_wan) {
     // Hairpin attempt from the LAN side; consumer NATs typically drop it.
-    ++nat_stats_.blocked_inbound;
     c_blocked_inbound_->inc();
     note_flow_drop(pkt, obs::DropReason::kNatFiltered);
     return;
@@ -294,7 +285,6 @@ void NatGateway::translate_inbound(const net::IpPacket& pkt, fabric::Link& from)
   (void)from;
   const auto ports = l4_ports(pkt);
   if (!ports) {
-    ++nat_stats_.blocked_inbound;
     c_blocked_inbound_->inc();
     note_flow_drop(pkt, obs::DropReason::kNatFiltered);
     return;
@@ -303,7 +293,6 @@ void NatGateway::translate_inbound(const net::IpPacket& pkt, fabric::Link& from)
       (static_cast<std::uint32_t>(ports->dst) << 8) | pkt.protocol();
   const auto it = port_to_binding_.find(pkey);
   if (it == port_to_binding_.end() || is_expired(it->second)) {
-    ++nat_stats_.blocked_inbound;
     c_blocked_inbound_->inc();
     note_flow_drop(pkt, obs::DropReason::kNatMappingMiss);
     return;
@@ -333,7 +322,6 @@ void NatGateway::translate_inbound(const net::IpPacket& pkt, fabric::Link& from)
       break;
   }
   if (!allowed) {
-    ++nat_stats_.blocked_inbound;
     c_blocked_inbound_->inc();
     note_flow_drop(pkt, obs::DropReason::kNatFiltered);
     sim().tracer().instant(obs::Category::kNat, "nat.inbound_refused", name(),
@@ -349,11 +337,9 @@ void NatGateway::translate_inbound(const net::IpPacket& pkt, fabric::Link& from)
   net::IpPacket inner = pkt;
   inner.dst = b.private_ip;
   set_dst_port(inner, b.private_port);
-  ++nat_stats_.translated_inbound;
   c_translated_inbound_->inc();
   const fabric::Interface* out = route_lookup(inner.dst);
   if (out == nullptr || out == &interfaces()[wan_iface_]) {
-    ++stats_.dropped_no_route;
     note_flow_drop(inner, obs::DropReason::kNoRoute);
     return;
   }

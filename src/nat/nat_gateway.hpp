@@ -52,15 +52,6 @@ struct NatConfig {
   std::uint16_t port_range_end{59999};
 };
 
-struct NatStats {
-  std::uint64_t translated_outbound{0};
-  std::uint64_t translated_inbound{0};
-  std::uint64_t blocked_inbound{0};
-  std::uint64_t expired_bindings{0};
-  std::uint64_t bindings_created{0};
-  std::uint64_t dropped_down{0};  // packets that hit a crashed gateway
-};
-
 class NatGateway : public fabric::Node {
  public:
   NatGateway(fabric::Network& network, std::string name, NatConfig config);
@@ -79,7 +70,8 @@ class NatGateway : public fabric::Node {
     return interfaces()[wan_iface_].address;
   }
   [[nodiscard]] const NatConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const NatStats& nat_stats() const noexcept { return nat_stats_; }
+  /// Packets that hit the gateway while it was crashed.
+  [[nodiscard]] std::uint64_t dropped_down() const noexcept { return dropped_down_; }
 
   /// Number of live (non-expired) bindings right now.
   [[nodiscard]] std::size_t active_bindings() const;
@@ -139,7 +131,7 @@ class NatGateway : public fabric::Node {
   void note_flow_drop(const net::IpPacket& pkt, obs::DropReason reason);
 
   NatConfig config_;
-  NatStats nat_stats_;
+  std::uint64_t dropped_down_{0};
   std::size_t wan_iface_{1};
   bool down_{false};
 

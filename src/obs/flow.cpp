@@ -176,7 +176,6 @@ net::FlowContext FlowTracer::begin_passage(const FlowKey& key, std::uint64_t byt
   p.origin = clock_();
   p.last_at = p.origin;
   passages_[{h, ctx.passage}] = p;
-  ++total_passages_;
   if (c_passages_ == nullptr) c_passages_ = &registry_.counter("flow.passages");
   c_passages_->inc();
   return ctx;
@@ -234,7 +233,6 @@ void FlowTracer::record(const net::FlowContext& ctx, HopComponent component,
     }
     flow.ring_next = (flow.ring_next + 1) % config_.hops_per_flow;
     ++flow.hops_recorded;
-    ++total_hops_;
     if (c_hops_ == nullptr) c_hops_ = &registry_.counter("flow.hops");
     c_hops_->inc();
   } else {

@@ -170,8 +170,9 @@ class FlowTracer {
   }
 
   [[nodiscard]] std::size_t flow_count() const noexcept { return flows_.size(); }
-  [[nodiscard]] std::uint64_t passages() const noexcept { return total_passages_; }
-  [[nodiscard]] std::uint64_t hops_recorded() const noexcept { return total_hops_; }
+  [[nodiscard]] std::uint64_t passages() const noexcept {
+    return c_passages_ != nullptr ? c_passages_->value() : 0;
+  }
 
   /// NetFlow-style aggregate records, one JSON object per line, in
   /// first-seen flow order (deterministic per seed).
@@ -238,8 +239,6 @@ class FlowTracer {
   std::unordered_map<std::uint64_t, FlowState> flows_;
   std::vector<std::uint64_t> order_;  // flow ids in first-seen order
   std::map<std::pair<std::uint64_t, std::uint32_t>, PassageState> passages_;
-  std::uint64_t total_passages_{0};
-  std::uint64_t total_hops_{0};
 
   // Lazily-registered handles: a run with no sampled traffic leaves the
   // metrics registry untouched, keeping pre-existing exports stable.

@@ -59,7 +59,8 @@ class Tracer {
   explicit Tracer(ClockFn clock);
   Tracer(ClockFn clock, Config config);
 
-  /// Master switch; a disabled tracer records nothing (cheap check).
+  /// Master switch, off by default: a disabled tracer records nothing
+  /// (cheap check). The exporters that write a trace turn it on.
   void set_enabled(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
@@ -105,7 +106,7 @@ class Tracer {
 
   ClockFn clock_;
   Config config_;
-  bool enabled_{true};
+  bool enabled_{false};
   std::array<bool, kCategoryCount> categories_;
   std::vector<TraceEvent> ring_;
   std::size_t next_slot_{0};

@@ -111,6 +111,22 @@ HostAgent::~HostAgent() {
   for (auto& [qid, pending] : pending_queries_) ip_.sim().cancel(pending.deadline);
 }
 
+HostAgent::Stats HostAgent::stats() const noexcept {
+  Stats s;
+  s.punches_sent = c_punches_sent_->value();
+  s.pulses_sent = c_pulses_sent_->value();
+  s.frames_received = c_frames_received_->value();
+  s.links_lost = c_links_lost_->value();
+  s.queries_timed_out = c_queries_timed_out_->value();
+  s.reregistrations = c_reregistrations_->value();
+  s.connects_failed = c_connects_failed_->value();
+  s.peers_forgotten = c_peers_forgotten_->value();
+  s.relay_fallbacks = c_relay_fallbacks_->value();
+  s.relay_failovers = c_relay_failovers_->value();
+  s.relay_upgrades = c_relay_upgrades_->value();
+  return s;
+}
+
 Duration HostAgent::jittered(Duration d) {
   return seconds_f(to_seconds(d) * (0.9 + 0.2 * ip_.sim().rng().uniform()));
 }
@@ -313,7 +329,6 @@ void HostAgent::expire_query(std::uint64_t query_id) {
     // Resend under the same id with a linearly stretched deadline — the
     // reply datagram may simply have been lost.
     ++pending.attempts;
-    ++stats_.query_retries_sent;
     QueryMsg msg;
     msg.query_id = query_id;
     msg.target = pending.target;
@@ -326,7 +341,6 @@ void HostAgent::expire_query(std::uint64_t query_id) {
   }
   auto handler = std::move(pending.handler);
   pending_queries_.erase(it);
-  ++stats_.queries_timed_out;
   c_queries_timed_out_->inc();
   ip_.sim().tracer().instant(obs::Category::kOverlay, "query.timeout", self_.name,
                              "\"query_id\":" + std::to_string(query_id));
@@ -443,7 +457,6 @@ void HostAgent::punch_round(HostId peer) {
     return;
   }
   for (const auto& candidate : link.candidates) {
-    ++stats_.punches_sent;
     c_punches_sent_->inc();
     socket_.send_to(candidate, encode(PunchMsg{self_.host_id, link.nonce}));
   }
@@ -458,7 +471,6 @@ void HostAgent::fail_link(HostId peer, const std::string& reason) {
   const HostInfo info = link.info;
   if (link.request_id != 0) request_to_peer_.erase(link.request_id);
   links_.erase(it);
-  ++stats_.connects_failed;
   c_connects_failed_->inc();
   if (reason == "timeout") {
     c_failed_timeout_->inc();
@@ -483,7 +495,6 @@ void HostAgent::fail_link(HostId peer, const std::string& reason) {
       ++repunch_failures_[peer] >= config_.repunch_give_up) {
     repunch_failures_.erase(peer);
     repunch_backoff_.erase(peer);
-    ++stats_.peers_forgotten;
     c_peers_forgotten_->inc();
     ip_.sim().tracer().instant(obs::Category::kOverlay, "peer.forgotten", self_.name,
                                "\"peer\":" + std::to_string(peer));
@@ -510,7 +521,6 @@ void HostAgent::establish(Link& link, const net::Endpoint& proven) {
     link.relay_bound = false;
     ++link.alloc_epoch;
   }
-  ++stats_.links_established;
   c_links_established_->inc();
   c_traversal_direct_->inc();
   g_links_active_->add(1);
@@ -538,7 +548,6 @@ bool HostAgent::send_frame(HostId peer, net::EncapFrame frame) {
   const auto it = links_.find(peer);
   if (it == links_.end() || !it->second.established) return false;
   Link& link = it->second;
-  ++stats_.frames_sent;
   c_frames_sent_->inc();
   if (frame.frame && frame.frame->flow.id != 0) {
     ip_.sim().flows().forwarded(frame.frame->flow, obs::HopComponent::kTunnelSend,
@@ -576,7 +585,6 @@ void HostAgent::begin_relay(Link& link, const char* reason) {
       static_cast<std::size_t>((self_.host_id + link.peer) % relays_.size());
   link.relay_started = ip_.sim().now();
   if (link.punch_timer) link.punch_timer->stop();
-  ++stats_.relay_fallbacks;
   c_relay_fallbacks_->inc();
   ip_.sim().tracer().instant(obs::Category::kRelay, "relay.fallback", self_.name,
                              "\"peer\":" + std::to_string(link.peer) +
@@ -665,7 +673,6 @@ void HostAgent::establish_relayed(Link& link) {
   repunch_backoff_.erase(link.peer);
   repunch_failures_.erase(link.peer);
   if (link.request_id != 0) request_to_peer_.erase(link.request_id);
-  ++stats_.links_established;
   c_links_established_->inc();
   c_traversal_relayed_->inc();
   g_links_active_->add(1);
@@ -696,7 +703,6 @@ void HostAgent::establish_relayed(Link& link) {
 }
 
 void HostAgent::relay_failover(Link& link) {
-  ++stats_.relay_failovers;
   c_relay_failovers_->inc();
   ip_.sim().tracer().instant(obs::Category::kRelay, "relay.failover", self_.name,
                              "\"peer\":" + std::to_string(link.peer) +
@@ -805,7 +811,6 @@ void HostAgent::complete_upgrade(Link& link) {
   endpoint_to_peer_[link.remote] = link.peer;
   link.last_rx = ip_.sim().now();
   g_links_relayed_->add(-1);
-  ++stats_.relay_upgrades;
   c_relay_upgrades_->inc();
   ip_.sim().tracer().instant(obs::Category::kRelay, "traversal.upgrade",
                              self_.name,
@@ -925,7 +930,6 @@ void HostAgent::drop_link(HostId peer) {
   const bool was_established = link.established;
   links_.erase(it);
   if (was_established) {
-    ++stats_.links_lost;
     c_links_lost_->inc();
     g_links_active_->add(-1);
     ip_.sim().tracer().instant(obs::Category::kOverlay, "link.down", self_.name,
@@ -952,7 +956,6 @@ void HostAgent::pulse_links() {
   WAV_PROF_SCOPE("overlay", "pulse_links");
   for (auto& [peer, link] : links_) {
     if (!link.established) continue;
-    ++stats_.pulses_sent;
     c_pulses_sent_->inc();
     if (link.kind == LinkKind::kRelayed) {
       // The 2-byte pulse can't ride a relay (the channel needs the pair
@@ -1030,7 +1033,6 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       }
       if (link != nullptr) {
         link->last_rx = ip_.sim().now();
-        ++stats_.frames_received;
         c_frames_received_->inc();
         if (encap->frame && encap->frame->flow.id != 0) {
           ip_.sim().flows().forwarded(encap->frame->flow,
@@ -1050,7 +1052,6 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
     case MsgType::kPunch: {
       const auto msg = parse_punch(*dgram.chunk());
       if (!msg) return;
-      ++stats_.punch_acks_sent;
       c_punch_acks_sent_->inc();
       socket_.send_to(from, encode(PunchAckMsg{self_.host_id, msg->nonce}));
       // Traffic from the peer proves the path; adopt it.
@@ -1105,7 +1106,6 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
         // connect brokering work again.
         if (registered_) {
           registered_ = false;
-          ++stats_.reregistrations;
           c_reregistrations_->inc();
           ip_.sim().tracer().instant(obs::Category::kOverlay, "agent.reregister",
                                      self_.name);

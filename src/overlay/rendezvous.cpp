@@ -197,7 +197,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
     }
     case MsgType::kHeartbeat: {
       if (const auto msg = parse_heartbeat(*chunk)) {
-        ++stats_.heartbeats;
         c_heartbeats_->inc();
         const auto it = hosts_.find(msg->host_id);
         if (it != hosts_.end()) {
@@ -242,7 +241,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
         if (it != pending_connects_.end()) {
           host_socket_.send_to(it->second.requester_observed, encode(*msg));
           pending_connects_.erase(it);
-          ++stats_.connects_brokered;
           c_connects_brokered_->inc();
         }
       }
@@ -254,7 +252,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
         if (it != pending_connects_.end()) {
           host_socket_.send_to(it->second.requester_observed, encode(*msg));
           pending_connects_.erase(it);
-          ++stats_.connects_failed;
           c_connects_failed_->inc();
         }
       }
@@ -301,7 +298,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
 
 void RendezvousServer::handle_register(const net::Endpoint& from, const RegisterMsg& msg) {
   WAV_PROF_SCOPE("rendezvous", "register");
-  ++stats_.registrations;
   c_registrations_->inc();
   ip_.sim().tracer().instant(obs::Category::kOverlay, "rendezvous.register",
                              ip_.ip_address().to_string(),
@@ -331,7 +327,6 @@ void RendezvousServer::handle_register(const net::Endpoint& from, const Register
 
 void RendezvousServer::handle_query(const net::Endpoint& from, const QueryMsg& msg) {
   WAV_PROF_SCOPE("rendezvous", "query");
-  ++stats_.queries;
   c_queries_->inc();
   const can::Point target = attrs_to_point(msg.target);
   const std::uint64_t query_id = msg.query_id;
@@ -398,7 +393,6 @@ void RendezvousServer::handle_rv_forward(const net::Endpoint& from,
   };
 
   if (it == hosts_.end()) {
-    ++stats_.connects_failed;
     c_connects_failed_->inc();
     reply_to(encode(ConnectFailMsg{msg.request_id, "unknown host"}));
     return;
@@ -414,7 +408,6 @@ void RendezvousServer::handle_rv_forward(const net::Endpoint& from,
   ConnectNotifyMsg to_requester;
   to_requester.request_id = msg.request_id;
   to_requester.peer = it->second.info;
-  ++stats_.connects_brokered;
   c_connects_brokered_->inc();
   reply_to(encode(to_requester));
 }
@@ -460,7 +453,6 @@ void RendezvousServer::expire_stale_hosts() {
   // shows up in stats instead of vanishing in a silent GC.
   for (auto it = pending_connects_.begin(); it != pending_connects_.end();) {
     if (now - it->second.created > config_.connect_timeout) {
-      ++stats_.connects_failed;
       c_connects_failed_->inc();
       host_socket_.send_to(it->second.requester_observed,
                            encode(ConnectFailMsg{it->first, "timeout"}));

@@ -99,15 +99,6 @@ class RendezvousServer {
   void restart(const net::Endpoint& seed_can_endpoint);
   [[nodiscard]] bool down() const noexcept { return down_; }
 
-  struct Stats {
-    std::uint64_t registrations{0};
-    std::uint64_t heartbeats{0};
-    std::uint64_t queries{0};
-    std::uint64_t connects_brokered{0};
-    std::uint64_t connects_failed{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   struct Registered {
     HostInfo info;
@@ -167,7 +158,6 @@ class RendezvousServer {
   sim::PeriodicTimer shard_ping_timer_;
   ShardPayloadProvider shard_payload_provider_;
   ShardPayloadHandler shard_payload_handler_;
-  Stats stats_;
   bool down_{false};
 
   obs::Counter* c_registrations_{nullptr};

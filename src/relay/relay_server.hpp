@@ -72,18 +72,6 @@ class RelayServer {
   void crash();
   void restart();
 
-  struct Stats {
-    std::uint64_t allocations{0};   // new channels created
-    std::uint64_t refreshes{0};     // re-binds of an existing channel
-    std::uint64_t alloc_failures{0};
-    std::uint64_t frames_relayed{0};
-    std::uint64_t bytes_relayed{0};
-    std::uint64_t frames_dropped_no_credit{0};
-    std::uint64_t frames_dropped_unbound{0};
-    std::uint64_t channels_expired{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   struct Side {
     net::Endpoint endpoint{};
@@ -134,7 +122,6 @@ class RelayServer {
   std::map<PairKey, Channel> channels_;
   sim::PeriodicTimer credit_timer_;
   sim::PeriodicTimer idle_timer_;
-  Stats stats_;
   bool down_{false};
 
   obs::Counter* c_allocations_{nullptr};

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/flow.hpp"
 #include "obs/metrics.hpp"
@@ -115,7 +114,9 @@ class Simulation {
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
   /// Number of events executed since construction (for tests/diagnostics).
-  [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
+  [[nodiscard]] std::uint64_t events_executed() const noexcept {
+    return events_counter_->value();
+  }
   /// Exact count of scheduled-but-not-yet-fired events (both stores).
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return heap_.size() + wheel_.size();
@@ -140,16 +141,6 @@ class Simulation {
   [[nodiscard]] obs::Tracer& tracer() noexcept { return *tracer_; }
   /// Flow-level causal tracing (sampled flight recorder; obs/flow.hpp).
   [[nodiscard]] obs::FlowTracer& flows() noexcept { return *flows_; }
-
-  /// Wall-clock callback profiling (steady_clock around each event).
-  /// Off by default: the measurements are real-time, so they are kept out
-  /// of the metrics registry to preserve byte-identical exports; read
-  /// them via callback_wall_ns().
-  void set_profiling(bool on) noexcept { profiling_ = on; }
-  [[nodiscard]] bool profiling() const noexcept { return profiling_; }
-  [[nodiscard]] const OnlineStats& callback_wall_ns() const noexcept {
-    return callback_wall_ns_;
-  }
 
  private:
   static constexpr std::uint32_t kNotInHeap = 0xFFFFFFFFu;
@@ -190,7 +181,6 @@ class Simulation {
   TimerWheel wheel_;                      // relative-delay (timer) events
   bool timer_wheel_enabled_{true};
   std::uint64_t next_seq_{1};
-  std::uint64_t executed_{0};
   bool stopped_{false};
 
   // unique_ptr keeps handle addresses stable if Simulation ever moves.
@@ -199,8 +189,6 @@ class Simulation {
   std::unique_ptr<obs::FlowTracer> flows_;
   obs::Counter* events_counter_{nullptr};
   obs::Gauge* queue_depth_gauge_{nullptr};
-  bool profiling_{false};
-  OnlineStats callback_wall_ns_;
 };
 
 /// RAII periodic timer. Starts firing `period` after start() and keeps

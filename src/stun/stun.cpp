@@ -94,9 +94,6 @@ void StunServer::serve(stack::UdpSocket& in_socket, bool on_alternate_ip,
   const auto req = parse_request(*chunk);
   if (!req) return;
 
-  ++stats_.requests;
-  if (req->change_ip) ++stats_.change_ip_requests;
-  if (req->change_port) ++stats_.change_port_requests;
   primary_ip_.sim().metrics()
       .counter("stun.requests", primary_ip_.ip_address().to_string())
       .inc();

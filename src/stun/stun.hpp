@@ -59,13 +59,6 @@ class StunServer {
     return {alternate_ip_.ip_address(), kStunPort};
   }
 
-  struct Stats {
-    std::uint64_t requests{0};
-    std::uint64_t change_ip_requests{0};
-    std::uint64_t change_port_requests{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   void serve(stack::UdpSocket& in_socket, bool on_alternate_ip,
              const net::Endpoint& from, const net::UdpDatagram& dgram);
@@ -79,7 +72,6 @@ class StunServer {
   stack::UdpSocket primary_alt_;     // primary IP, alternate port
   stack::UdpSocket alternate_main_;  // alternate IP, main port
   stack::UdpSocket alternate_alt_;   // alternate IP, alternate port
-  Stats stats_;
 };
 
 /// Result of the classification probe.

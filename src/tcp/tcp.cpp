@@ -90,10 +90,24 @@ TcpConnection::Ptr TcpLayer::connect(net::Endpoint remote, const TcpConfig& conf
   }
   if (port == 0) throw std::runtime_error("TCP ephemeral port space exhausted");
 
-  const net::Endpoint local{ip_.ip_address(), port};
+  auto conn = add_connection({ip_.ip_address(), port}, remote, config);
+  conn->start_connect();
+  return conn;
+}
+
+TcpConnection::Ptr TcpLayer::add_connection(const net::Endpoint& local,
+                                            const net::Endpoint& remote,
+                                            const TcpConfig& config) {
+  if (metrics_.retransmits == nullptr) {
+    obs::MetricsRegistry& reg = sim().metrics();
+    metrics_.retransmits = &reg.counter("tcp.retransmits");
+    metrics_.fast_retransmits = &reg.counter("tcp.fast_retransmits");
+    metrics_.rto_events = &reg.counter("tcp.rto_events");
+    metrics_.rtt_ms = &reg.histogram(
+        "tcp.rtt_ms", {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000});
+  }
   auto conn = TcpConnection::Ptr(new TcpConnection(*this, local, remote, config));
   connections_[ConnKey{local, remote}] = conn;
-  conn->start_connect();
   return conn;
 }
 
@@ -113,10 +127,7 @@ void TcpLayer::handle_packet(const net::IpPacket& pkt) {
 
   if (seg->flags.syn && !seg->flags.ack) {
     if (const auto it = listeners_.find(local.port); it != listeners_.end()) {
-      auto conn =
-          TcpConnection::Ptr(new TcpConnection(*this, local, remote, it->second.config));
-      connections_[ConnKey{local, remote}] = conn;
-      conn->start_accept(seg->seq);
+      add_connection(local, remote, it->second.config)->start_accept(seg->seq);
       return;
     }
   }
@@ -163,12 +174,6 @@ TcpConnection::TcpConnection(TcpLayer& layer, net::Endpoint local, net::Endpoint
       time_wait_timer_(layer.sim(), [this] { become_closed(CloseReason::kNormal); }) {
   cwnd_ = static_cast<std::uint64_t>(config_.mss) * config_.initial_cwnd_segments;
   ssthresh_ = UINT64_MAX;
-  obs::MetricsRegistry& reg = layer_.sim().metrics();
-  c_retransmits_ = &reg.counter("tcp.retransmits");
-  c_fast_retransmits_ = &reg.counter("tcp.fast_retransmits");
-  c_rto_events_ = &reg.counter("tcp.rto_events");
-  h_rtt_ms_ = &reg.histogram(
-      "tcp.rtt_ms", {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000});
 }
 
 TcpConnection::~TcpConnection() = default;
@@ -250,7 +255,6 @@ void TcpConnection::send(net::Chunk data) {
     log::debug("tcp", "send() on closing/closed connection ignored");
     return;
   }
-  stats_.bytes_sent += data.size();
   send_store_.append(std::move(data));
   try_send();
 }
@@ -316,10 +320,9 @@ void TcpConnection::send_segment(std::uint64_t offset, std::uint64_t len,
       config_.receive_buffer - reassembly_bytes_, UINT32_MAX));
   seg.data = send_store_.copy_range(offset - 1, len);
 
-  ++stats_.segments_sent;
   if (is_retransmit) {
     ++stats_.retransmits;
-    c_retransmits_->inc();
+    layer_.metrics_.retransmits->inc();
   } else if (!rtt_sample_) {
     rtt_sample_ = {offset + len, layer_.sim().now()};
   }
@@ -340,7 +343,6 @@ void TcpConnection::send_control(net::TcpFlags flags) {
   if (flags.ack) seg.ack = wire_ack();
   seg.window = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       config_.receive_buffer - reassembly_bytes_, UINT32_MAX));
-  ++stats_.segments_sent;
   layer_.emit(local_, remote_, std::move(seg));
 }
 
@@ -384,8 +386,7 @@ void TcpConnection::on_rto() {
     become_closed(CloseReason::kTimeout);
     return;
   }
-  ++stats_.rto_events;
-  c_rto_events_->inc();
+  layer_.metrics_.rto_events->inc();
   // Reno loss response to a timeout: collapse to one segment and
   // retransmit from the oldest unacknowledged byte (go-back-N).
   const std::uint64_t flight = snd_nxt_data_ - snd_una_data_;
@@ -403,7 +404,7 @@ void TcpConnection::on_rto() {
     fin.fin = true;
     fin.ack = true;
     ++stats_.retransmits;
-    c_retransmits_->inc();
+    layer_.metrics_.retransmits->inc();
     send_control(fin);
   }
   arm_rto();
@@ -421,14 +422,13 @@ void TcpConnection::update_rtt(Duration sample) {
   }
   rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg.min_rto, cfg.max_rto);
   stats_.smoothed_rtt = srtt_;
-  h_rtt_ms_->observe(to_milliseconds(sample));
+  layer_.metrics_.rtt_ms->observe(to_milliseconds(sample));
 }
 
 // --- TcpConnection: receiving ----------------------------------------------
 
 void TcpConnection::handle_segment(const net::TcpSegment& seg) {
   WAV_PROF_SCOPE("tcp", "handle_segment");
-  ++stats_.segments_received;
 
   if (seg.flags.rst) {
     const CloseReason reason =
@@ -585,7 +585,7 @@ void TcpConnection::handle_ack(const net::TcpSegment& seg) {
     in_fast_recovery_ = true;
     recovery_point_ = snd_nxt_data_;
     ++stats_.fast_retransmits;
-    c_fast_retransmits_->inc();
+    layer_.metrics_.fast_retransmits->inc();
     const std::uint64_t len =
         std::min<std::uint64_t>(mss, (1 + send_store_.end()) - snd_una_data_);
     if (len > 0) send_segment(snd_una_data_, len, true);
@@ -695,7 +695,6 @@ void TcpConnection::deliver_in_order() {
       len = total_size(data);
     }
     rcv_nxt_ += len;
-    stats_.bytes_received += len;
     if (on_data_) on_data_(data);
   }
 }

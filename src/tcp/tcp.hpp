@@ -58,15 +58,12 @@ enum class CloseReason {
   kRefused,       // SYN answered by RST
 };
 
+/// Per-connection counts; the registry's tcp.* counters are the
+/// simulation-wide aggregates.
 struct TcpStats {
-  std::uint64_t bytes_sent{0};       // app payload handed to the network
   std::uint64_t bytes_acked{0};
-  std::uint64_t bytes_received{0};   // app payload delivered in order
-  std::uint64_t segments_sent{0};
-  std::uint64_t segments_received{0};
   std::uint64_t retransmits{0};
   std::uint64_t fast_retransmits{0};
-  std::uint64_t rto_events{0};
   Duration smoothed_rtt{kZeroDuration};
 };
 
@@ -200,13 +197,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   TcpStats stats_;
 
-  // Aggregate (instance-less) registry handles shared by all connections
-  // in the owning simulation.
-  obs::Counter* c_retransmits_{nullptr};
-  obs::Counter* c_fast_retransmits_{nullptr};
-  obs::Counter* c_rto_events_{nullptr};
-  obs::Histogram* h_rtt_ms_{nullptr};
-
   DataHandler on_data_;
   EventHandler on_established_;
   EventHandler on_peer_closed_;
@@ -258,6 +248,9 @@ class TcpLayer {
     std::size_t operator()(const ConnKey& k) const noexcept;
   };
 
+  /// Creates and tables a connection; binds metrics_ on the first one.
+  TcpConnection::Ptr add_connection(const net::Endpoint& local, const net::Endpoint& remote,
+                                    const TcpConfig& config);
   void handle_packet(const net::IpPacket& pkt);
   void remove_connection(const net::Endpoint& local, const net::Endpoint& remote);
   bool emit(const net::Endpoint& from, const net::Endpoint& to, net::TcpSegment seg);
@@ -269,6 +262,17 @@ class TcpLayer {
   std::unordered_map<std::uint16_t, Listener> listeners_;
   std::uint16_t next_ephemeral_{32768};
   std::uint32_t next_iss_{1000};
+
+  /// Aggregate (instance-less) registry handles shared by every
+  /// connection. Bound when the first connection is created, so a layer
+  /// that never connects registers no tcp.* metric.
+  struct Metrics {
+    obs::Counter* retransmits{nullptr};
+    obs::Counter* fast_retransmits{nullptr};
+    obs::Counter* rto_events{nullptr};
+    obs::Histogram* rtt_ms{nullptr};
+  };
+  Metrics metrics_;
 };
 
 }  // namespace wav::tcp

@@ -443,7 +443,6 @@ void GroupMember::note_delivered(GroupId g, std::uint64_t peer) {
   const auto it = epochs_.find(g);
   if (it == epochs_.end()) return;
   if (it->second.is_revoked(peer) || it->second.is_revoked(agent_.id())) {
-    ++revoked_deliveries_;
     c_revoked_deliveries_->inc();
   }
 }
@@ -459,7 +458,7 @@ std::uint64_t GroupMember::invariant_violations() const {
       ++open_revoked_gates;
     }
   }
-  return revoked_deliveries_ + open_revoked_gates;
+  return revoked_deliveries() + open_revoked_gates;
 }
 
 }  // namespace wav::vpg

@@ -85,7 +85,7 @@ class GroupMember : public GroupGate {
   /// zero; the chaos InvariantChecker sums this across the fleet.
   [[nodiscard]] std::uint64_t invariant_violations() const;
   [[nodiscard]] std::uint64_t revoked_deliveries() const noexcept {
-    return revoked_deliveries_;
+    return c_revoked_deliveries_->value();
   }
 
   [[nodiscard]] std::uint64_t id() const noexcept { return agent_.id(); }
@@ -144,7 +144,6 @@ class GroupMember : public GroupGate {
   std::map<PairKey, Handshake> handshakes_;
   std::map<std::uint64_t, PendingOp> pending_ops_;
   std::uint64_t next_op_id_{1};
-  std::uint64_t revoked_deliveries_{0};
   sim::PeriodicTimer sync_timer_;
 
   obs::Counter* c_ops_sent_{nullptr};

@@ -61,15 +61,6 @@ class SoftwareBridge {
   [[nodiscard]] std::size_t port_count() const noexcept { return ports_.size(); }
   [[nodiscard]] std::size_t fdb_size() const noexcept { return fdb_.size(); }
 
-  struct Stats {
-    std::uint64_t forwarded{0};
-    std::uint64_t flooded{0};
-  };
-  /// Snapshot view over the registry-owned counters.
-  [[nodiscard]] Stats stats() const noexcept {
-    return Stats{c_forwarded_->value(), c_flooded_->value()};
-  }
-
  private:
   void forward_now(BridgePort* from, const net::EthernetFrame& frame);
 
@@ -109,19 +100,11 @@ class VirtualNic : public BridgePort {
 
   void deliver(const net::EthernetFrame& frame) override;
 
-  struct Stats {
-    std::uint64_t tx_frames{0};
-    std::uint64_t rx_frames{0};
-    std::uint64_t rx_filtered{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   net::MacAddress mac_;
   bool promiscuous_{false};
   bool enabled_{true};
   FrameHandler on_frame_;
-  Stats stats_;
 };
 
 /// Deterministic locally-administered MAC from a small integer.

@@ -37,25 +37,17 @@ class ProcessingQueue {
     const Duration service =
         config_.per_packet + config_.per_byte * static_cast<std::int64_t>(bytes);
     busy_until_ += service;
-    ++processed_;
     sim_.schedule_at(busy_until_, WAV_PROF_CATEGORY("switch", "processing_done"),
                      std::forward<F>(done));
     return true;
   }
 
-  [[nodiscard]] Duration current_backlog() const {
-    const TimePoint now = sim_.now();
-    return busy_until_ > now ? busy_until_ - now : kZeroDuration;
-  }
-  [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   sim::Simulation& sim_;
   Config config_;
   TimePoint busy_until_{};
-  std::uint64_t processed_{0};
   std::uint64_t dropped_{0};
 };
 

@@ -198,6 +198,7 @@ TEST(Health, WorstRuleWinsPerComponent) {
 TEST(Health, MirrorsStateIntoRegistryAndTracer) {
   Fixture fx;
   obs::Tracer tracer{[&fx] { return fx.now; }};
+  tracer.set_enabled(true);
   fx.hm.set_tracer(&tracer);
   auto& g = fx.reg.gauge("hosts", "");
   g.set(5.0);

@@ -34,6 +34,7 @@ struct ObsFixture {
   std::unique_ptr<WavnetHost> b1;
 
   ObsFixture() {
+    sim.tracer().set_enabled(true);
     fabric::SiteConfig sa;
     sa.name = "A";
     fabric::SiteConfig sb;

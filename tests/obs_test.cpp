@@ -333,6 +333,7 @@ TEST(Metrics, JsonHelpersHandleEdgeCases) {
 struct TracerFixture {
   TimePoint now{};
   Tracer tracer{[this] { return now; }};
+  TracerFixture() { tracer.set_enabled(true); }
 };
 
 TEST(Trace, RecordsInstantsAndSpansWithSimTimestamps) {
@@ -392,6 +393,7 @@ TEST(Trace, RelayAndFlowCategoriesFilterAndName) {
 TEST(Trace, RingOverflowKeepsNewestCountsDropped) {
   TimePoint now{};
   Tracer tracer{[&] { return now; }, Tracer::Config{.capacity = 4}};
+  tracer.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
     now += milliseconds(1);
     tracer.instant(Category::kSim, "e" + std::to_string(i), "");
@@ -445,6 +447,7 @@ TEST(Trace, ExportsAreByteIdenticalForIdenticalRuns) {
   const auto run = [] {
     TimePoint now{};
     Tracer tracer{[&] { return now; }};
+    tracer.set_enabled(true);
     for (int i = 0; i < 50; ++i) {
       now += microseconds(137 * (i + 1));
       const TimePoint start = now;
@@ -467,6 +470,7 @@ TEST(Trace, ExportsAreByteIdenticalForIdenticalRuns) {
 TEST(Trace, RingSeqStaysContinuousAcrossOverflow) {
   TimePoint now{};
   Tracer tracer{[&] { return now; }, Tracer::Config{.capacity = 8}};
+  tracer.set_enabled(true);
   for (int i = 0; i < 29; ++i) {
     now += microseconds(100);
     tracer.instant(Category::kSim, "e", "");

@@ -138,7 +138,10 @@ TEST(Relay, SymmetricPairFallsBackAfterPunchTimeout) {
   icmp_a.send_echo_request(env.b1->virtual_ip(), id, 1, 56);
   env.sim.run_for(seconds(5));
   EXPECT_EQ(replies, 1);
-  EXPECT_GT(env.relays[0]->stats().frames_relayed, 0u);
+  EXPECT_GT(env.sim.metrics()
+                .counter("relay.frames_relayed", env.relays[0]->endpoint().to_string())
+                .value(),
+            0u);
 }
 
 TEST(Relay, KnownIncompatiblePairRelaysImmediately) {
@@ -348,7 +351,10 @@ TEST(Relay, CapacityExhaustedFailsConnect) {
   EXPECT_GE(env.a1->agent().stats().connects_failed, 1u);
   EXPECT_EQ(env.sim.metrics().counter("overlay.connects_failed.relay", "a1").value(),
             env.a1->agent().stats().connects_failed);
-  EXPECT_GE(env.relays[0]->stats().alloc_failures, 1u);
+  EXPECT_GE(env.sim.metrics()
+                .counter("relay.alloc_failures", env.relays[0]->endpoint().to_string())
+                .value(),
+            1u);
 }
 
 }  // namespace

@@ -450,7 +450,7 @@ TEST(Chaos, NatRebootUnderActiveTcpStreamRecovers) {
   env.site_a->gateway->restart();
   env.sim.run_for(seconds(240));
 
-  EXPECT_GT(env.site_a->gateway->nat_stats().dropped_down, 0u);
+  EXPECT_GT(env.site_a->gateway->dropped_down(), 0u);
   EXPECT_TRUE(env.a1->agent().link_established(env.b1->agent().id()));
   EXPECT_TRUE(env.b1->agent().link_established(env.a1->agent().id()));
   EXPECT_EQ(received, kTransfer);
@@ -503,7 +503,8 @@ TEST(Chaos, CanNeighborCrashTakeoverKeepsLookupsRoutable) {
   double volume = 0.0;
   for (const auto& n : nodes) {
     if (n.get() == &victim) continue;
-    takeovers += n->stats().zone_takeovers;
+    takeovers +=
+        sim.metrics().counter("can.zone_takeovers", "can#" + std::to_string(n->id())).value();
     volume += n->zone().volume();
   }
   EXPECT_GE(takeovers, 1u);
