@@ -103,9 +103,11 @@ void InternetNode::forward(net::IpPacket pkt, Link& from) {
   TimePoint& last = last_forward_[dir_key];
   if (depart < last) depart = last;
   last = depart;
+  // Capture the index, not `out`: attaching an interface before the
+  // event fires may reallocate the interface table.
   sim().schedule_at(depart, WAV_PROF_CATEGORY("internet", "forward"),
-                    [this, out, pkt = std::move(pkt)]() mutable {
-    transmit(*out, std::move(pkt));
+                    [this, out_idx, pkt = std::move(pkt)]() mutable {
+    transmit(interfaces()[out_idx], std::move(pkt));
   });
 }
 

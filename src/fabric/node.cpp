@@ -44,8 +44,6 @@ void Node::add_route(net::Ipv4Subnet dest, std::size_t iface_index) {
 void Node::set_default_route(std::size_t iface_index) { default_route_ = iface_index; }
 
 void Node::receive_from_link(net::IpPacket pkt, Link& from) {
-  if (tap_) tap_(pkt, from);
-
   if (owns_address(pkt.dst) || pkt.dst.is_broadcast()) {
     deliver_local(pkt, from);
     return;

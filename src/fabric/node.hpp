@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -61,11 +60,6 @@ class Node {
   /// route exists.
   bool originate(net::IpPacket pkt);
 
-  /// Optional tap observing every packet that arrives at this node (used
-  /// by tests and by the tcpdump-style capture in experiments).
-  using PacketTap = std::function<void(const net::IpPacket&, const Link&)>;
-  void set_packet_tap(PacketTap tap) { tap_ = std::move(tap); }
-
  protected:
   /// Hook: a packet addressed to this node. Default drops it.
   virtual void deliver_local(const net::IpPacket& pkt, Link& from);
@@ -96,7 +90,6 @@ class Node {
   std::unordered_map<net::Ipv4Address, std::size_t> host_routes_;
   std::vector<RouteEntry> routes_;  // kept sorted by descending prefix length
   std::optional<std::size_t> default_route_;
-  PacketTap tap_;
 };
 
 }  // namespace wav::fabric

@@ -39,6 +39,19 @@ enum class NatType {
 
 [[nodiscard]] const char* to_string(NatType t) noexcept;
 
+/// True when `t` names an enumerator (a parse check on wire bytes).
+[[nodiscard]] constexpr bool is_valid(NatType t) noexcept {
+  switch (t) {
+    case NatType::kFullCone:
+    case NatType::kRestrictedCone:
+    case NatType::kPortRestrictedCone:
+    case NatType::kSymmetric:
+    case NatType::kOpenInternet:
+      return true;
+  }
+  return false;
+}
+
 /// True when RFC 5128-style UDP hole punching succeeds between two hosts
 /// behind NATs of these types (at least one side must accept packets from
 /// a remote whose source port was learned via the rendezvous server).

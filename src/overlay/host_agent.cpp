@@ -18,7 +18,7 @@ HostAgent::HostAgent(stack::IpLayer& ip, Config config)
                          if (registered_) {
                            c_heartbeats_sent_->inc();
                            socket_.send_to(active_rendezvous_,
-                                           encode(HeartbeatMsg{self_.host_id}));
+                                           wire::encode(HeartbeatMsg{self_.host_id}));
                            probe_rendezvous();
                          }
                        }),
@@ -147,7 +147,7 @@ void HostAgent::start(RegisteredHandler on_registered) {
 void HostAgent::go_offline(bool graceful) {
   if (down_) return;
   if (graceful && registered_) {
-    socket_.send_to(active_rendezvous_, encode(DeregisterMsg{self_.host_id}));
+    socket_.send_to(active_rendezvous_, wire::encode(DeregisterMsg{self_.host_id}));
   }
   down_ = true;
   registered_ = false;
@@ -160,7 +160,7 @@ void HostAgent::go_offline(bool graceful) {
     if (link.established && link.kind == LinkKind::kRelayed) {
       g_links_relayed_->add(-1);
       if (graceful && !link.relay.is_zero()) {
-        socket_.send_to(link.relay, encode(RelayReleaseMsg{self_.host_id, peer}));
+        socket_.send_to(link.relay, wire::encode(RelayReleaseMsg{self_.host_id, peer}));
       }
     }
     if (link.established) g_links_active_->add(-1);
@@ -206,7 +206,7 @@ void HostAgent::do_register() {
   if (down_) return;
   RegisterMsg msg;
   msg.info = self_;
-  socket_.send_to(active_rendezvous_, encode(msg));
+  socket_.send_to(active_rendezvous_, wire::encode(msg));
   // Retry until acked (the ack handler flips registered_), backing off
   // exponentially with jitter so a crashed shard's whole population does
   // not re-register in lockstep. Repeated failures also walk the
@@ -256,7 +256,7 @@ void HostAgent::probe_rendezvous() {
   pending.deadline = ip_.sim().schedule_after(
       config_.query_timeout, [this, qid = probe.query_id] { expire_query(qid); });
   pending_queries_[probe.query_id] = std::move(pending);
-  socket_.send_to(active_rendezvous_, encode(probe));
+  socket_.send_to(active_rendezvous_, wire::encode(probe));
   if (++silent_probes_ > config_.rendezvous_probe_failures) fail_over_rendezvous();
 }
 
@@ -302,7 +302,7 @@ void HostAgent::query(const std::vector<double>& target, std::size_t k,
   pending.deadline = ip_.sim().schedule_after(
       config_.query_timeout, [this, qid = msg.query_id] { expire_query(qid); });
   pending_queries_[msg.query_id] = std::move(pending);
-  socket_.send_to(active_rendezvous_, encode(msg));
+  socket_.send_to(active_rendezvous_, wire::encode(msg));
 }
 
 std::size_t HostAgent::stale_query_count(Duration age) const {
@@ -336,7 +336,7 @@ void HostAgent::expire_query(std::uint64_t query_id) {
     pending.deadline = ip_.sim().schedule_after(
         config_.query_timeout * (pending.attempts + 1),
         [this, query_id] { expire_query(query_id); });
-    socket_.send_to(active_rendezvous_, encode(msg));
+    socket_.send_to(active_rendezvous_, wire::encode(msg));
     return;
   }
   auto handler = std::move(pending.handler);
@@ -363,7 +363,7 @@ void HostAgent::connect_to(const HostInfo& peer, ConnectHandler handler) {
   req.requester = self_;
   req.target = peer.host_id;
   req.target_rendezvous = peer.rendezvous;
-  socket_.send_to(active_rendezvous_, encode(req));
+  socket_.send_to(active_rendezvous_, wire::encode(req));
   request_to_peer_[req.request_id] = peer.host_id;
   // ...and start punching immediately with the info we already have.
   begin_punching(peer, std::move(handler));
@@ -458,7 +458,7 @@ void HostAgent::punch_round(HostId peer) {
   }
   for (const auto& candidate : link.candidates) {
     c_punches_sent_->inc();
-    socket_.send_to(candidate, encode(PunchMsg{self_.host_id, link.nonce}));
+    socket_.send_to(candidate, wire::encode(PunchMsg{self_.host_id, link.nonce}));
   }
 }
 
@@ -517,7 +517,7 @@ void HostAgent::establish(Link& link, const net::Endpoint& proven) {
   if (link.request_id != 0) request_to_peer_.erase(link.request_id);
   // Direct won a race against a pending relay allocation: clean up.
   if (link.relay_tried && !link.relay.is_zero()) {
-    socket_.send_to(link.relay, encode(RelayReleaseMsg{self_.host_id, link.peer}));
+    socket_.send_to(link.relay, wire::encode(RelayReleaseMsg{self_.host_id, link.peer}));
     link.relay_bound = false;
     ++link.alloc_epoch;
   }
@@ -538,7 +538,6 @@ void HostAgent::establish(Link& link, const net::Endpoint& proven) {
     link.on_result = nullptr;
     handler(true, link.peer);
   }
-  if (on_link_up_) on_link_up_(link.peer);
   if (on_link_up_group_) on_link_up_group_(link.peer);
 }
 
@@ -598,7 +597,7 @@ void HostAgent::send_relay_allocate(Link& link) {
   link.relay = relays_[link.relay_cursor % relays_.size()];
   link.relay_acked = false;
   const std::uint64_t epoch = ++link.alloc_epoch;
-  socket_.send_to(link.relay, encode(RelayAllocateMsg{self_.host_id, link.peer}));
+  socket_.send_to(link.relay, wire::encode(RelayAllocateMsg{self_.host_id, link.peer}));
   ip_.sim().schedule_after(
       config_.relay_alloc_timeout,
       [this, peer = link.peer, epoch] { relay_alloc_expired(peer, epoch); });
@@ -698,7 +697,6 @@ void HostAgent::establish_relayed(Link& link) {
     link.on_result = nullptr;
     handler(true, link.peer);
   }
-  if (on_link_up_) on_link_up_(link.peer);
   if (on_link_up_group_) on_link_up_group_(link.peer);
 }
 
@@ -743,7 +741,7 @@ void HostAgent::refresh_relayed_links() {
       failed.push_back(peer);
       continue;
     }
-    socket_.send_to(link.relay, encode(RelayAllocateMsg{self_.host_id, peer}));
+    socket_.send_to(link.relay, wire::encode(RelayAllocateMsg{self_.host_id, peer}));
   }
   // Failover mutates links_ (it may drop the link) — second phase.
   for (const HostId peer : failed) {
@@ -795,7 +793,7 @@ void HostAgent::start_switchover(Link& link, const net::Endpoint& proven) {
   // delivery through the relay means the peer sees every frame we ever
   // relayed before it sees this barrier.
   socket_.send_to(link.relay,
-                  encode(RelayFlushMsg{self_.host_id, link.peer, link.flush_nonce}));
+                  wire::encode(RelayFlushMsg{self_.host_id, link.peer, link.flush_nonce}));
   ip_.sim().schedule_after(
       config_.upgrade_flush_timeout,
       [this, peer = link.peer, nonce = link.flush_nonce] {
@@ -829,7 +827,7 @@ void HostAgent::complete_upgrade(Link& link) {
             it->second.relay != relay) {
           return;
         }
-        socket_.send_to(relay, encode(RelayReleaseMsg{self_.host_id, peer}));
+        socket_.send_to(relay, wire::encode(RelayReleaseMsg{self_.host_id, peer}));
         it->second.relay_bound = false;
       });
   // Frames held during the handshake drain in order on the direct path.
@@ -915,7 +913,7 @@ void HostAgent::drop_link(HostId peer) {
     g_links_relayed_->add(-1);
     // Best effort: tell the relay to reclaim our side of the channel.
     if (!link.relay.is_zero()) {
-      socket_.send_to(link.relay, encode(RelayReleaseMsg{self_.host_id, peer}));
+      socket_.send_to(link.relay, wire::encode(RelayReleaseMsg{self_.host_id, peer}));
     }
   }
   // For relayed links remote is the relay endpoint, which was never
@@ -945,7 +943,7 @@ bool HostAgent::send_group_ctrl(HostId peer, net::Chunk chunk) {
   if (it == links_.end() || !it->second.established) return false;
   Link& link = it->second;
   // A relayed link routes the chunk through the pair channel (the relay
-  // reads the (from, to) ids off the body via parse_group_route); this
+  // reads the (from, to) ids off the body as a GroupRoute); this
   // holds through an upgrade flush too — the channel stays bound until
   // the handshake completes, so FIFO ordering is preserved.
   return socket_.send_to(link.kind == LinkKind::kRelayed ? link.relay : link.remote,
@@ -961,7 +959,7 @@ void HostAgent::pulse_links() {
       // The 2-byte pulse can't ride a relay (the channel needs the pair
       // addressing), so relayed links keep alive with a RelayPulse that
       // refreshes the channel's idle clock end to end.
-      socket_.send_to(link.relay, encode(RelayPulseMsg{self_.host_id, peer}));
+      socket_.send_to(link.relay, wire::encode(RelayPulseMsg{self_.host_id, peer}));
     } else {
       socket_.send_to(link.remote, encode_pulse());
     }
@@ -1050,10 +1048,10 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kPunch: {
-      const auto msg = parse_punch(*dgram.chunk());
+      const auto msg = wire::parse<PunchMsg>(*dgram.chunk());
       if (!msg) return;
       c_punch_acks_sent_->inc();
-      socket_.send_to(from, encode(PunchAckMsg{self_.host_id, msg->nonce}));
+      socket_.send_to(from, wire::encode(PunchAckMsg{self_.host_id, msg->nonce}));
       // Traffic from the peer proves the path; adopt it.
       Link& link = links_[msg->from_host];
       if (link.peer == 0) {
@@ -1080,7 +1078,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kPunchAck: {
-      const auto msg = parse_punch_ack(*dgram.chunk());
+      const auto msg = wire::parse<PunchAckMsg>(*dgram.chunk());
       if (!msg) return;
       const auto it = links_.find(msg->from_host);
       if (it == links_.end()) return;
@@ -1098,7 +1096,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kRegisterAck: {
-      const auto msg = parse_register_ack(*dgram.chunk());
+      const auto msg = wire::parse<RegisterAckMsg>(*dgram.chunk());
       if (!msg) return;
       if (!msg->ok) {
         // Negative ack: the server no longer has our record (it crashed
@@ -1143,7 +1141,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kQueryReply: {
-      const auto msg = parse_query_reply(*dgram.chunk());
+      const auto msg = wire::parse<QueryReplyMsg>(*dgram.chunk());
       if (!msg) return;
       const auto it = pending_queries_.find(msg->query_id);
       if (it == pending_queries_.end()) return;
@@ -1158,7 +1156,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kConnectNotify: {
-      const auto msg = parse_connect_notify(*dgram.chunk());
+      const auto msg = wire::parse<ConnectNotifyMsg>(*dgram.chunk());
       if (!msg) return;
       // Either the peer's fresh info for our own request, or a request
       // initiated by the peer — both mean: punch toward them.
@@ -1166,7 +1164,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kConnectFail: {
-      const auto msg = parse_connect_fail(*dgram.chunk());
+      const auto msg = wire::parse<ConnectFailMsg>(*dgram.chunk());
       if (!msg) return;
       log::debug("agent", "{}: connect failed: {}", self_.name, msg->reason);
       const auto rit = request_to_peer_.find(msg->request_id);
@@ -1184,7 +1182,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kRelayAllocateAck: {
-      const auto msg = parse_relay_allocate_ack(*dgram.chunk());
+      const auto msg = wire::parse<RelayAllocateAckMsg>(*dgram.chunk());
       if (!msg) return;
       const auto it = links_.find(msg->peer);
       if (it == links_.end()) return;
@@ -1207,7 +1205,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kRelayPulse: {
-      const auto msg = parse_relay_pulse(*dgram.chunk());
+      const auto msg = wire::parse<RelayPulseMsg>(*dgram.chunk());
       if (!msg || msg->to_host != self_.host_id) return;
       const auto it = links_.find(msg->from_host);
       if (it != links_.end() && it->second.established) {
@@ -1217,7 +1215,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kRelayFlush: {
-      const auto msg = parse_relay_flush(*dgram.chunk());
+      const auto msg = wire::parse<RelayFlushMsg>(*dgram.chunk());
       if (!msg || msg->to_host != self_.host_id) return;
       const auto it = links_.find(msg->from_host);
       if (it == links_.end() || !it->second.established) return;
@@ -1228,7 +1226,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       // precedes this barrier, so acking it (direct) tells the peer it
       // can safely drain onto the direct path.
       socket_.send_to(link.direct_candidate,
-                      encode(RelayFlushAckMsg{self_.host_id, msg->nonce}));
+                      wire::encode(RelayFlushAckMsg{self_.host_id, msg->nonce}));
       // Symmetric switch: the peer is moving to direct, move our egress
       // too so the channel winds down from both ends.
       if (link.kind == LinkKind::kRelayed && !link.upgrading) {
@@ -1237,7 +1235,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kRelayFlushAck: {
-      const auto msg = parse_relay_flush_ack(*dgram.chunk());
+      const auto msg = wire::parse<RelayFlushAckMsg>(*dgram.chunk());
       if (!msg) return;
       const auto it = links_.find(msg->from_host);
       if (it == links_.end()) return;
@@ -1247,7 +1245,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       return;
     }
     case MsgType::kGroupHandshake: {
-      const auto route = parse_group_route(*dgram.chunk());
+      const auto route = wire::parse<GroupRoute>(*dgram.chunk());
       if (!route || route->to_host != self_.host_id) return;
       // Refresh the link's idle clock when the sender's endpoint checks
       // out, then hand the opaque body to the group layer. Delivery is

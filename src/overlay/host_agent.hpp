@@ -173,11 +173,11 @@ class HostAgent {
   bool send_frame(HostId peer, net::EncapFrame frame);
 
   void on_frame(FrameHandler handler) { on_frame_ = std::move(handler); }
-  void on_link_up(LinkHandler handler) { on_link_up_ = std::move(handler); }
   void on_link_down(LinkHandler handler) { on_link_down_ = std::move(handler); }
 
-  /// Second observer pair for the group membership layer (the WavSwitch
-  /// owns the primary on_link_up/down slots). Fired right after them.
+  /// Observers for the group membership layer (the WavSwitch owns the
+  /// on_link_down slot): a link came up, or went down (fired right after
+  /// on_link_down).
   void on_link_up_group(LinkHandler handler) { on_link_up_group_ = std::move(handler); }
   void on_link_down_group(LinkHandler handler) {
     on_link_down_group_ = std::move(handler);
@@ -371,7 +371,6 @@ class HostAgent {
   sim::PeriodicTimer upgrade_probe_timer_;
 
   FrameHandler on_frame_;
-  LinkHandler on_link_up_;
   LinkHandler on_link_down_;
   LinkHandler on_link_up_group_;
   LinkHandler on_link_down_group_;

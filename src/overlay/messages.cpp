@@ -1,36 +1,6 @@
 #include "overlay/messages.hpp"
 
 namespace wav::overlay {
-namespace {
-
-void encode_endpoint(ByteWriter& w, const net::Endpoint& ep) {
-  w.u32(ep.ip.value);
-  w.u16(ep.port);
-}
-
-std::optional<net::Endpoint> parse_endpoint(ByteReader& r) {
-  const auto ip = r.u32();
-  const auto port = r.u16();
-  if (!ip || !port) return std::nullopt;
-  return net::Endpoint{net::Ipv4Address{*ip}, *port};
-}
-
-ByteBuffer begin(MsgType type) {
-  ByteBuffer out;
-  out.push_back(static_cast<std::byte>(type));
-  return out;
-}
-
-std::optional<ByteReader> open(const net::Chunk& chunk, MsgType expect) {
-  if (chunk.real.empty() || chunk.real[0] != static_cast<std::byte>(expect)) {
-    return std::nullopt;
-  }
-  ByteReader r{chunk.real};
-  (void)r.u8();
-  return r;
-}
-
-}  // namespace
 
 std::optional<MsgType> peek_type(const net::UdpDatagram& dgram) {
   if (dgram.encap() != nullptr) return MsgType::kData;
@@ -48,452 +18,10 @@ std::optional<MsgType> peek_type(const net::UdpDatagram& dgram) {
   return static_cast<MsgType>(t);
 }
 
-void encode_host_info(ByteWriter& w, const HostInfo& info) {
-  w.u64(info.host_id);
-  w.str(info.name);
-  encode_endpoint(w, info.public_endpoint);
-  encode_endpoint(w, info.private_endpoint);
-  w.u8(static_cast<std::uint8_t>(info.nat_type));
-  w.u8(static_cast<std::uint8_t>(info.attributes.size()));
-  for (const double a : info.attributes) w.f64(a);
-  encode_endpoint(w, info.rendezvous);
-}
-
-std::optional<HostInfo> parse_host_info(ByteReader& r) {
-  HostInfo info;
-  const auto id = r.u64();
-  const auto name = r.str();
-  const auto pub = parse_endpoint(r);
-  const auto priv = parse_endpoint(r);
-  const auto nat_type = r.u8();
-  const auto n_attrs = r.u8();
-  if (!id || !name || !pub || !priv || !nat_type || !n_attrs) return std::nullopt;
-  info.host_id = *id;
-  info.name = *name;
-  info.public_endpoint = *pub;
-  info.private_endpoint = *priv;
-  info.nat_type = static_cast<nat::NatType>(*nat_type);
-  info.attributes.reserve(*n_attrs);
-  for (std::size_t i = 0; i < *n_attrs; ++i) {
-    const auto a = r.f64();
-    if (!a) return std::nullopt;
-    info.attributes.push_back(*a);
-  }
-  const auto rv = parse_endpoint(r);
-  if (!rv) return std::nullopt;
-  info.rendezvous = *rv;
-  return info;
-}
-
-net::Chunk encode(const RegisterMsg& m) {
-  ByteBuffer out = begin(MsgType::kRegister);
-  ByteWriter w{out};
-  encode_host_info(w, m.info);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RegisterMsg> parse_register(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRegister);
-  if (!r) return std::nullopt;
-  const auto info = parse_host_info(*r);
-  if (!info) return std::nullopt;
-  return RegisterMsg{*info};
-}
-
-net::Chunk encode(const RegisterAckMsg& m) {
-  ByteBuffer out = begin(MsgType::kRegisterAck);
-  ByteWriter w{out};
-  w.u8(m.ok ? 1 : 0);
-  encode_endpoint(w, m.observed);
-  w.u8(static_cast<std::uint8_t>(m.relays.size()));
-  for (const auto& relay : m.relays) encode_endpoint(w, relay);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RegisterAckMsg> parse_register_ack(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRegisterAck);
-  if (!r) return std::nullopt;
-  const auto ok = r->u8();
-  const auto ep = parse_endpoint(*r);
-  const auto n_relays = r->u8();
-  if (!ok || !ep || !n_relays) return std::nullopt;
-  RegisterAckMsg m{*ok != 0, *ep, {}};
-  m.relays.reserve(*n_relays);
-  for (std::size_t i = 0; i < *n_relays; ++i) {
-    const auto relay = parse_endpoint(*r);
-    if (!relay) return std::nullopt;
-    m.relays.push_back(*relay);
-  }
-  return m;
-}
-
-net::Chunk encode(const DeregisterMsg& m) {
-  ByteBuffer out = begin(MsgType::kDeregister);
-  ByteWriter w{out};
-  w.u64(m.host_id);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<DeregisterMsg> parse_deregister(const net::Chunk& c) {
-  auto r = open(c, MsgType::kDeregister);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  if (!id) return std::nullopt;
-  return DeregisterMsg{*id};
-}
-
-net::Chunk encode(const HeartbeatMsg& m) {
-  ByteBuffer out = begin(MsgType::kHeartbeat);
-  ByteWriter w{out};
-  w.u64(m.host_id);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<HeartbeatMsg> parse_heartbeat(const net::Chunk& c) {
-  auto r = open(c, MsgType::kHeartbeat);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  if (!id) return std::nullopt;
-  return HeartbeatMsg{*id};
-}
-
-net::Chunk encode(const QueryMsg& m) {
-  ByteBuffer out = begin(MsgType::kQuery);
-  ByteWriter w{out};
-  w.u64(m.query_id);
-  w.u8(static_cast<std::uint8_t>(m.target.size()));
-  for (const double a : m.target) w.f64(a);
-  w.u16(m.k);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<QueryMsg> parse_query(const net::Chunk& c) {
-  auto r = open(c, MsgType::kQuery);
-  if (!r) return std::nullopt;
-  QueryMsg m;
-  const auto id = r->u64();
-  const auto n = r->u8();
-  if (!id || !n) return std::nullopt;
-  m.query_id = *id;
-  for (std::size_t i = 0; i < *n; ++i) {
-    const auto a = r->f64();
-    if (!a) return std::nullopt;
-    m.target.push_back(*a);
-  }
-  const auto k = r->u16();
-  if (!k) return std::nullopt;
-  m.k = *k;
-  return m;
-}
-
-net::Chunk encode(const QueryReplyMsg& m) {
-  ByteBuffer out = begin(MsgType::kQueryReply);
-  ByteWriter w{out};
-  w.u64(m.query_id);
-  w.u16(static_cast<std::uint16_t>(m.hosts.size()));
-  for (const auto& h : m.hosts) encode_host_info(w, h);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<QueryReplyMsg> parse_query_reply(const net::Chunk& c) {
-  auto r = open(c, MsgType::kQueryReply);
-  if (!r) return std::nullopt;
-  QueryReplyMsg m;
-  const auto id = r->u64();
-  const auto n = r->u16();
-  if (!id || !n) return std::nullopt;
-  m.query_id = *id;
-  for (std::size_t i = 0; i < *n; ++i) {
-    const auto h = parse_host_info(*r);
-    if (!h) return std::nullopt;
-    m.hosts.push_back(*h);
-  }
-  return m;
-}
-
-net::Chunk encode(const ConnectRequestMsg& m) {
-  ByteBuffer out = begin(MsgType::kConnectRequest);
-  ByteWriter w{out};
-  w.u64(m.request_id);
-  encode_host_info(w, m.requester);
-  w.u64(m.target);
-  encode_endpoint(w, m.target_rendezvous);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<ConnectRequestMsg> parse_connect_request(const net::Chunk& c) {
-  auto r = open(c, MsgType::kConnectRequest);
-  if (!r) return std::nullopt;
-  ConnectRequestMsg m;
-  const auto id = r->u64();
-  const auto info = parse_host_info(*r);
-  const auto target = r->u64();
-  const auto rv = parse_endpoint(*r);
-  if (!id || !info || !target || !rv) return std::nullopt;
-  m.request_id = *id;
-  m.requester = *info;
-  m.target = *target;
-  m.target_rendezvous = *rv;
-  return m;
-}
-
-net::Chunk encode(const ConnectNotifyMsg& m) {
-  ByteBuffer out = begin(MsgType::kConnectNotify);
-  ByteWriter w{out};
-  w.u64(m.request_id);
-  encode_host_info(w, m.peer);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<ConnectNotifyMsg> parse_connect_notify(const net::Chunk& c) {
-  auto r = open(c, MsgType::kConnectNotify);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  const auto info = parse_host_info(*r);
-  if (!id || !info) return std::nullopt;
-  return ConnectNotifyMsg{*id, *info};
-}
-
-net::Chunk encode(const ConnectFailMsg& m) {
-  ByteBuffer out = begin(MsgType::kConnectFail);
-  ByteWriter w{out};
-  w.u64(m.request_id);
-  w.str(m.reason);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<ConnectFailMsg> parse_connect_fail(const net::Chunk& c) {
-  auto r = open(c, MsgType::kConnectFail);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  const auto reason = r->str();
-  if (!id || !reason) return std::nullopt;
-  return ConnectFailMsg{*id, *reason};
-}
-
-net::Chunk encode(const RvForwardNotifyMsg& m) {
-  ByteBuffer out = begin(MsgType::kRvForwardNotify);
-  ByteWriter w{out};
-  w.u64(m.request_id);
-  encode_host_info(w, m.requester);
-  w.u64(m.target);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RvForwardNotifyMsg> parse_rv_forward(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRvForwardNotify);
-  if (!r) return std::nullopt;
-  RvForwardNotifyMsg m;
-  const auto id = r->u64();
-  const auto info = parse_host_info(*r);
-  const auto target = r->u64();
-  if (!id || !info || !target) return std::nullopt;
-  m.request_id = *id;
-  m.requester = *info;
-  m.target = *target;
-  return m;
-}
-
-net::Chunk encode(const PunchMsg& m) {
-  ByteBuffer out = begin(MsgType::kPunch);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.nonce);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<PunchMsg> parse_punch(const net::Chunk& c) {
-  auto r = open(c, MsgType::kPunch);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  const auto nonce = r->u64();
-  if (!id || !nonce) return std::nullopt;
-  return PunchMsg{*id, *nonce};
-}
-
-net::Chunk encode(const PunchAckMsg& m) {
-  ByteBuffer out = begin(MsgType::kPunchAck);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.nonce);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<PunchAckMsg> parse_punch_ack(const net::Chunk& c) {
-  auto r = open(c, MsgType::kPunchAck);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  const auto nonce = r->u64();
-  if (!id || !nonce) return std::nullopt;
-  return PunchAckMsg{*id, *nonce};
-}
-
-net::Chunk encode(const RelayAllocateMsg& m) {
-  ByteBuffer out = begin(MsgType::kRelayAllocate);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.to_host);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RelayAllocateMsg> parse_relay_allocate(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRelayAllocate);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto to = r->u64();
-  if (!from || !to) return std::nullopt;
-  return RelayAllocateMsg{*from, *to};
-}
-
-net::Chunk encode(const RelayAllocateAckMsg& m) {
-  ByteBuffer out = begin(MsgType::kRelayAllocateAck);
-  ByteWriter w{out};
-  w.u64(m.peer);
-  w.u8(m.ok ? 1 : 0);
-  w.u8(m.peer_bound ? 1 : 0);
-  w.str(m.reason);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RelayAllocateAckMsg> parse_relay_allocate_ack(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRelayAllocateAck);
-  if (!r) return std::nullopt;
-  const auto peer = r->u64();
-  const auto ok = r->u8();
-  const auto bound = r->u8();
-  const auto reason = r->str();
-  if (!peer || !ok || !bound || !reason) return std::nullopt;
-  return RelayAllocateAckMsg{*peer, *ok != 0, *bound != 0, *reason};
-}
-
-net::Chunk encode(const RelayReleaseMsg& m) {
-  ByteBuffer out = begin(MsgType::kRelayRelease);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.to_host);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RelayReleaseMsg> parse_relay_release(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRelayRelease);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto to = r->u64();
-  if (!from || !to) return std::nullopt;
-  return RelayReleaseMsg{*from, *to};
-}
-
-net::Chunk encode(const RelayPulseMsg& m) {
-  ByteBuffer out = begin(MsgType::kRelayPulse);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.to_host);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RelayPulseMsg> parse_relay_pulse(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRelayPulse);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto to = r->u64();
-  if (!from || !to) return std::nullopt;
-  return RelayPulseMsg{*from, *to};
-}
-
-net::Chunk encode(const RelayFlushMsg& m) {
-  ByteBuffer out = begin(MsgType::kRelayFlush);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.to_host);
-  w.u64(m.nonce);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RelayFlushMsg> parse_relay_flush(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRelayFlush);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto to = r->u64();
-  const auto nonce = r->u64();
-  if (!from || !to || !nonce) return std::nullopt;
-  return RelayFlushMsg{*from, *to, *nonce};
-}
-
-net::Chunk encode(const RelayFlushAckMsg& m) {
-  ByteBuffer out = begin(MsgType::kRelayFlushAck);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.nonce);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<RelayFlushAckMsg> parse_relay_flush_ack(const net::Chunk& c) {
-  auto r = open(c, MsgType::kRelayFlushAck);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto nonce = r->u64();
-  if (!from || !nonce) return std::nullopt;
-  return RelayFlushAckMsg{*from, *nonce};
-}
-
-net::Chunk encode(const ShardPingMsg& m) {
-  ByteBuffer out = begin(MsgType::kShardPing);
-  ByteWriter w{out};
-  encode_endpoint(w, m.from);
-  w.u32(m.registered_hosts);
-  // The piggyback payload is appended only when present, so fleets with
-  // no co-hosted service keep the pre-existing wire bytes exactly.
-  if (!m.payload.empty()) w.raw(m.payload);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<ShardPingMsg> parse_shard_ping(const net::Chunk& c) {
-  auto r = open(c, MsgType::kShardPing);
-  if (!r) return std::nullopt;
-  const auto from = parse_endpoint(*r);
-  const auto hosts = r->u32();
-  if (!from || !hosts) return std::nullopt;
-  ShardPingMsg m{*from, *hosts, {}};
-  const auto rest = r->rest();
-  m.payload.assign(rest.begin(), rest.end());
-  return m;
-}
-
-net::Chunk encode(const ShardPongMsg& m) {
-  ByteBuffer out = begin(MsgType::kShardPong);
-  ByteWriter w{out};
-  encode_endpoint(w, m.from);
-  w.u32(m.registered_hosts);
-  if (!m.payload.empty()) w.raw(m.payload);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<ShardPongMsg> parse_shard_pong(const net::Chunk& c) {
-  auto r = open(c, MsgType::kShardPong);
-  if (!r) return std::nullopt;
-  const auto from = parse_endpoint(*r);
-  const auto hosts = r->u32();
-  if (!from || !hosts) return std::nullopt;
-  ShardPongMsg m{*from, *hosts, {}};
-  const auto rest = r->rest();
-  m.payload.assign(rest.begin(), rest.end());
-  return m;
-}
-
-std::optional<GroupRoute> parse_group_route(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupHandshake);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto to = r->u64();
-  if (!from || !to) return std::nullopt;
-  return GroupRoute{*from, *to};
-}
-
 net::Chunk encode_pulse() {
-  ByteBuffer out = begin(MsgType::kPulse);
-  ByteWriter w{out};
-  w.u8(1);  // protocol version; total wire payload = 2 bytes
-  return net::Chunk::from_bytes(std::move(out));
+  // Type tag + protocol version: 2 bytes on the wire.
+  return net::Chunk::from_bytes(
+      {static_cast<std::byte>(MsgType::kPulse), std::byte{1}});
 }
 
 }  // namespace wav::overlay

@@ -6,17 +6,6 @@
 #include "obs/profiler.hpp"
 
 namespace wav::overlay {
-namespace {
-
-/// The CAN payload of a host's record: its full HostInfo.
-ByteBuffer host_record(const HostInfo& info) {
-  ByteBuffer blob;
-  ByteWriter w{blob};
-  encode_host_info(w, info);
-  return blob;
-}
-
-}  // namespace
 
 RendezvousServer::RendezvousServer(stack::IpLayer& ip)
     : RendezvousServer(ip, Config{}) {}
@@ -98,7 +87,7 @@ void RendezvousServer::shard_ping_tick() {
   if (shard_payload_provider_) ping.payload = shard_payload_provider_();
   for (const auto& peer : config_.shard_peers) {
     c_shard_pings_->inc();
-    host_socket_.send_to(peer, encode(ping));
+    host_socket_.send_to(peer, wire::encode(ping));
     // Cross-hello the peer's CAN node too (fleet convention: one shared
     // can_port). After a false-positive liveness takeover two shards can
     // hold overlapping zone claims with no neighbor-table path between
@@ -181,11 +170,11 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
 
   switch (*type) {
     case MsgType::kRegister: {
-      if (const auto msg = parse_register(*chunk)) handle_register(from, *msg);
+      if (const auto msg = wire::parse<RegisterMsg>(*chunk)) handle_register(from, *msg);
       return;
     }
     case MsgType::kDeregister: {
-      if (const auto msg = parse_deregister(*chunk)) {
+      if (const auto msg = wire::parse<DeregisterMsg>(*chunk)) {
         const auto it = hosts_.find(msg->host_id);
         if (it != hosts_.end()) {
           withdraw(it->second.info);
@@ -196,7 +185,7 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
       return;
     }
     case MsgType::kHeartbeat: {
-      if (const auto msg = parse_heartbeat(*chunk)) {
+      if (const auto msg = wire::parse<HeartbeatMsg>(*chunk)) {
         c_heartbeats_->inc();
         const auto it = hosts_.find(msg->host_id);
         if (it != hosts_.end()) {
@@ -214,32 +203,34 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
           RegisterAckMsg nack;
           nack.ok = false;
           nack.observed = from;
-          host_socket_.send_to(from, encode(nack));
+          host_socket_.send_to(from, wire::encode(nack));
         }
       }
       return;
     }
     case MsgType::kQuery: {
-      if (const auto msg = parse_query(*chunk)) handle_query(from, *msg);
+      if (const auto msg = wire::parse<QueryMsg>(*chunk)) handle_query(from, *msg);
       return;
     }
     case MsgType::kConnectRequest: {
-      if (const auto msg = parse_connect_request(*chunk)) {
+      if (const auto msg = wire::parse<ConnectRequestMsg>(*chunk)) {
         handle_connect_request(from, *msg);
       }
       return;
     }
     case MsgType::kRvForwardNotify: {
-      if (const auto msg = parse_rv_forward(*chunk)) handle_rv_forward(from, *msg);
+      if (const auto msg = wire::parse<RvForwardNotifyMsg>(*chunk)) {
+        handle_rv_forward(from, *msg);
+      }
       return;
     }
     case MsgType::kConnectNotify: {
       // A peer server answered our forwarded connect: relay to the local
       // requester host recorded under this request id.
-      if (const auto msg = parse_connect_notify(*chunk)) {
+      if (const auto msg = wire::parse<ConnectNotifyMsg>(*chunk)) {
         const auto it = pending_connects_.find(msg->request_id);
         if (it != pending_connects_.end()) {
-          host_socket_.send_to(it->second.requester_observed, encode(*msg));
+          host_socket_.send_to(it->second.requester_observed, wire::encode(*msg));
           pending_connects_.erase(it);
           c_connects_brokered_->inc();
         }
@@ -247,10 +238,10 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
       return;
     }
     case MsgType::kConnectFail: {
-      if (const auto msg = parse_connect_fail(*chunk)) {
+      if (const auto msg = wire::parse<ConnectFailMsg>(*chunk)) {
         const auto it = pending_connects_.find(msg->request_id);
         if (it != pending_connects_.end()) {
-          host_socket_.send_to(it->second.requester_observed, encode(*msg));
+          host_socket_.send_to(it->second.requester_observed, wire::encode(*msg));
           pending_connects_.erase(it);
           c_connects_failed_->inc();
         }
@@ -258,7 +249,7 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
       return;
     }
     case MsgType::kShardPing: {
-      if (const auto msg = parse_shard_ping(*chunk)) {
+      if (const auto msg = wire::parse<ShardPingMsg>(*chunk)) {
         if (const auto it = shard_state_.find(msg->from); it != shard_state_.end()) {
           it->second.last_seen = ip_.sim().now();
           it->second.reported_hosts = msg->registered_hosts;
@@ -271,12 +262,12 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
         pong.from = host_endpoint();
         pong.registered_hosts = static_cast<std::uint32_t>(hosts_.size());
         if (shard_payload_provider_) pong.payload = shard_payload_provider_();
-        host_socket_.send_to(msg->from, encode(pong));
+        host_socket_.send_to(msg->from, wire::encode(pong));
       }
       return;
     }
     case MsgType::kShardPong: {
-      if (const auto msg = parse_shard_pong(*chunk)) {
+      if (const auto msg = wire::parse<ShardPongMsg>(*chunk)) {
         if (const auto it = shard_state_.find(msg->from); it != shard_state_.end()) {
           it->second.last_seen = ip_.sim().now();
           it->second.reported_hosts = msg->registered_hosts;
@@ -322,7 +313,7 @@ void RendezvousServer::handle_register(const net::Endpoint& from, const Register
   ack.ok = true;
   ack.observed = from;
   ack.relays = config_.relays;
-  host_socket_.send_to(from, encode(ack));
+  host_socket_.send_to(from, wire::encode(ack));
 }
 
 void RendezvousServer::handle_query(const net::Endpoint& from, const QueryMsg& msg) {
@@ -335,22 +326,23 @@ void RendezvousServer::handle_query(const net::Endpoint& from, const QueryMsg& m
     QueryReplyMsg reply;
     reply.query_id = query_id;
     for (const auto& item : items) {
-      ByteReader r{item.payload};
-      if (auto info = parse_host_info(r)) reply.hosts.push_back(std::move(*info));
+      if (auto info = wire::parse<HostInfo>(item.payload)) {
+        reply.hosts.push_back(std::move(*info));
+      }
     }
-    host_socket_.send_to(from, encode(reply));
+    host_socket_.send_to(from, wire::encode(reply));
   });
 }
 
 void RendezvousServer::publish(const HostInfo& info) {
   // Bounded by a TTL so records don't outlive a crashed host (or a
   // rendezvous server that died before cleaning up); heartbeats re-store.
-  can_.store(attrs_to_point(info.attributes), info.host_id, host_record(info),
+  can_.store(attrs_to_point(info.attributes), info.host_id, wire::bytes(info),
              config_.host_expiry);
 }
 
 void RendezvousServer::withdraw(const HostInfo& info) {
-  can_.erase(attrs_to_point(info.attributes), info.host_id, host_record(info));
+  can_.erase(attrs_to_point(info.attributes), info.host_id, wire::bytes(info));
 }
 
 void RendezvousServer::handle_connect_request(const net::Endpoint& from,
@@ -372,7 +364,7 @@ void RendezvousServer::handle_connect_request(const net::Endpoint& from,
   if (msg.target_rendezvous == host_endpoint()) {
     handle_rv_forward(host_endpoint(), fwd);
   } else {
-    host_socket_.send_to(msg.target_rendezvous, encode(fwd));
+    host_socket_.send_to(msg.target_rendezvous, wire::encode(fwd));
   }
 }
 
@@ -394,7 +386,7 @@ void RendezvousServer::handle_rv_forward(const net::Endpoint& from,
 
   if (it == hosts_.end()) {
     c_connects_failed_->inc();
-    reply_to(encode(ConnectFailMsg{msg.request_id, "unknown host"}));
+    reply_to(wire::encode(ConnectFailMsg{msg.request_id, "unknown host"}));
     return;
   }
 
@@ -402,14 +394,14 @@ void RendezvousServer::handle_rv_forward(const net::Endpoint& from,
   ConnectNotifyMsg to_target;
   to_target.request_id = msg.request_id;
   to_target.peer = msg.requester;
-  host_socket_.send_to(it->second.observed, encode(to_target));
+  host_socket_.send_to(it->second.observed, wire::encode(to_target));
 
   // ...and hand the target's fresh info back toward the requester.
   ConnectNotifyMsg to_requester;
   to_requester.request_id = msg.request_id;
   to_requester.peer = it->second.info;
   c_connects_brokered_->inc();
-  reply_to(encode(to_requester));
+  reply_to(wire::encode(to_requester));
 }
 
 // Bucket width for the expiry wheel. Must divide the expiry tick period
@@ -455,7 +447,7 @@ void RendezvousServer::expire_stale_hosts() {
     if (now - it->second.created > config_.connect_timeout) {
       c_connects_failed_->inc();
       host_socket_.send_to(it->second.requester_observed,
-                           encode(ConnectFailMsg{it->first, "timeout"}));
+                           wire::encode(ConnectFailMsg{it->first, "timeout"}));
       it = pending_connects_.erase(it);
     } else {
       ++it;

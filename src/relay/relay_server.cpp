@@ -100,21 +100,25 @@ void RelayServer::on_datagram(const net::Endpoint& from, const net::UdpDatagram&
   if (!type) return;
   switch (*type) {
     case MsgType::kRelayAllocate: {
-      if (const auto msg = parse_relay_allocate(*chunk)) handle_allocate(from, *msg);
+      if (const auto msg = wire::parse<RelayAllocateMsg>(*chunk)) {
+        handle_allocate(from, *msg);
+      }
       return;
     }
     case MsgType::kRelayRelease: {
-      if (const auto msg = parse_relay_release(*chunk)) handle_release(from, *msg);
+      if (const auto msg = wire::parse<RelayReleaseMsg>(*chunk)) {
+        handle_release(from, *msg);
+      }
       return;
     }
     case MsgType::kRelayPulse: {
-      if (const auto msg = parse_relay_pulse(*chunk)) {
+      if (const auto msg = wire::parse<RelayPulseMsg>(*chunk)) {
         forward_control(msg->from_host, msg->to_host, *chunk);
       }
       return;
     }
     case MsgType::kRelayFlush: {
-      if (const auto msg = parse_relay_flush(*chunk)) {
+      if (const auto msg = wire::parse<RelayFlushMsg>(*chunk)) {
         forward_control(msg->from_host, msg->to_host, *chunk);
       }
       return;
@@ -122,7 +126,7 @@ void RelayServer::on_datagram(const net::Endpoint& from, const net::UdpDatagram&
     case MsgType::kGroupHandshake: {
       // Group pair handshakes ride the same channel as data; the relay
       // routes by the leading (from, to) pair and never parses the rest.
-      if (const auto route = parse_group_route(*chunk)) {
+      if (const auto route = wire::parse<GroupRoute>(*chunk)) {
         forward_control(route->from_host, route->to_host, *chunk);
       }
       return;
@@ -141,7 +145,7 @@ void RelayServer::handle_allocate(const net::Endpoint& from,
     if (channels_.size() >= config_.max_channels) {
       c_alloc_failures_->inc();
       socket_.send_to(from,
-                      encode(RelayAllocateAckMsg{msg.to_host, false, false, "capacity"}));
+                      wire::encode(RelayAllocateAckMsg{msg.to_host, false, false, "capacity"}));
       return;
     }
     Channel ch;
@@ -170,12 +174,12 @@ void RelayServer::handle_allocate(const net::Endpoint& from,
   // stops counting once its liveness window lapses, even though the
   // survivor's refreshes keep the channel itself active.
   socket_.send_to(from,
-                  encode(RelayAllocateAckMsg{msg.to_host, true, side_alive(theirs), ""}));
+                  wire::encode(RelayAllocateAckMsg{msg.to_host, true, side_alive(theirs), ""}));
   // Completing the pair unblocks the side that bound first — tell it
   // proactively instead of making it wait for its next refresh.
   if (newly_bound && side_alive(theirs)) {
     socket_.send_to(theirs.endpoint,
-                    encode(RelayAllocateAckMsg{msg.from_host, true, true, ""}));
+                    wire::encode(RelayAllocateAckMsg{msg.from_host, true, true, ""}));
   }
 }
 

@@ -6,7 +6,6 @@ namespace wav::stun {
 namespace {
 
 constexpr std::uint8_t kTypeRequest = 1;
-constexpr std::uint8_t kTypeResponse = 2;
 
 }  // namespace
 
@@ -31,30 +30,6 @@ std::optional<BindingRequest> parse_request(const net::Chunk& chunk) {
   req.change_ip = (*flags & 1) != 0;
   req.change_port = (*flags & 2) != 0;
   return req;
-}
-
-net::Chunk encode_response(const BindingResponse& resp) {
-  ByteBuffer out;
-  ByteWriter w{out};
-  w.u8(kTypeResponse);
-  w.u32(resp.transaction_id);
-  w.u32(resp.mapped.ip.value);
-  w.u16(resp.mapped.port);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<BindingResponse> parse_response(const net::Chunk& chunk) {
-  ByteReader r{chunk.real};
-  const auto type = r.u8();
-  if (!type || *type != kTypeResponse) return std::nullopt;
-  BindingResponse resp;
-  const auto txid = r.u32();
-  const auto ip = r.u32();
-  const auto port = r.u16();
-  if (!txid || !ip || !port) return std::nullopt;
-  resp.transaction_id = *txid;
-  resp.mapped = net::Endpoint{net::Ipv4Address{*ip}, *port};
-  return resp;
 }
 
 // --- server ---------------------------------------------------------------
@@ -105,7 +80,7 @@ void StunServer::serve(stack::UdpSocket& in_socket, bool on_alternate_ip,
   const bool reply_alt_ip = on_alternate_ip != req->change_ip;  // toggle
   const bool in_alt_port = in_socket.local_port() == kStunAltPort;
   const bool reply_alt_port = in_alt_port != req->change_port;
-  reply_socket(reply_alt_ip, reply_alt_port).send_to(from, encode_response(resp));
+  reply_socket(reply_alt_ip, reply_alt_port).send_to(from, wire::encode(resp));
 }
 
 // --- client ---------------------------------------------------------------
@@ -173,7 +148,7 @@ void StunClient::on_datagram(const net::Endpoint& from, const net::UdpDatagram& 
   (void)from;
   const auto* chunk = dgram.chunk();
   if (chunk == nullptr) return;
-  const auto resp = parse_response(*chunk);
+  const auto resp = wire::parse<BindingResponse>(*chunk);
   if (!resp || resp->transaction_id != txid_) return;
   retry_timer_.cancel();
   advance(true, *resp);

@@ -17,6 +17,7 @@
 #include <optional>
 
 #include "nat/nat_gateway.hpp"
+#include "net/wire.hpp"
 #include "stack/udp.hpp"
 
 namespace wav::stun {
@@ -30,15 +31,20 @@ struct BindingRequest {
   bool change_port{false};
 };
 
+/// Encoded with wire::encode and parsed with wire::parse<BindingResponse>.
 struct BindingResponse {
+  static constexpr std::uint8_t kType = 2;
   std::uint32_t transaction_id{0};
   net::Endpoint mapped{};  // the source endpoint the server observed
 };
+template <class Io>
+bool fields(Io& io, BindingResponse& m) {
+  return io(m.transaction_id, m.mapped);
+}
 
+// The request keeps a hand-written codec: its two flags share one byte.
 [[nodiscard]] net::Chunk encode_request(const BindingRequest& req);
 [[nodiscard]] std::optional<BindingRequest> parse_request(const net::Chunk& chunk);
-[[nodiscard]] net::Chunk encode_response(const BindingResponse& resp);
-[[nodiscard]] std::optional<BindingResponse> parse_response(const net::Chunk& chunk);
 
 /// STUN server bound to a host with two public addresses. The host node
 /// must have (at least) two interfaces, each with its own public IP; the

@@ -4,47 +4,12 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"  // json_escape / json_double
-#include "overlay/messages.hpp"
 
 namespace wav::vpg {
 namespace {
 
-using overlay::MsgType;
-
-ByteBuffer begin(MsgType type) {
-  ByteBuffer out;
-  out.push_back(static_cast<std::byte>(type));
-  return out;
-}
-
-std::optional<ByteReader> open(const net::Chunk& chunk, MsgType expect) {
-  if (chunk.real.empty() || chunk.real[0] != static_cast<std::byte>(expect)) {
-    return std::nullopt;
-  }
-  ByteReader r{chunk.real};
-  (void)r.u8();
-  return r;
-}
-
 bool sorted_contains(const std::vector<std::uint64_t>& v, std::uint64_t host) {
   return std::binary_search(v.begin(), v.end(), host);
-}
-
-void encode_id_list(ByteWriter& w, const std::vector<std::uint64_t>& v) {
-  w.u16(static_cast<std::uint16_t>(v.size()));
-  for (const std::uint64_t id : v) w.u64(id);
-}
-
-bool parse_id_list(ByteReader& r, std::vector<std::uint64_t>& out) {
-  const auto n = r.u16();
-  if (!n) return false;
-  out.reserve(*n);
-  for (std::size_t i = 0; i < *n; ++i) {
-    const auto id = r.u64();
-    if (!id) return false;
-    out.push_back(*id);
-  }
-  return true;
 }
 
 }  // namespace
@@ -80,182 +45,6 @@ const char* to_string(GroupOpStatus status) noexcept {
     case GroupOpStatus::kRevoked: return "revoked";
   }
   return "?";
-}
-
-void encode_epoch(ByteWriter& w, const GroupEpoch& epoch) {
-  w.u32(epoch.group);
-  w.u64(epoch.version);
-  w.u64(static_cast<std::uint64_t>(epoch.changed_at.since_start.count()));
-  encode_id_list(w, epoch.members);
-  encode_id_list(w, epoch.invited);
-  encode_id_list(w, epoch.revoked);
-}
-
-std::optional<GroupEpoch> parse_epoch(ByteReader& r) {
-  GroupEpoch e;
-  const auto group = r.u32();
-  const auto version = r.u64();
-  const auto changed = r.u64();
-  if (!group || !version || !changed) return std::nullopt;
-  e.group = *group;
-  e.version = *version;
-  e.changed_at = TimePoint{Duration{static_cast<std::int64_t>(*changed)}};
-  if (!parse_id_list(r, e.members)) return std::nullopt;
-  if (!parse_id_list(r, e.invited)) return std::nullopt;
-  if (!parse_id_list(r, e.revoked)) return std::nullopt;
-  return e;
-}
-
-net::Chunk encode(const GroupOpMsg& m) {
-  ByteBuffer out = begin(MsgType::kGroupOp);
-  ByteWriter w{out};
-  w.u64(m.op_id);
-  w.u8(static_cast<std::uint8_t>(m.op));
-  w.u32(m.group);
-  w.u64(m.actor);
-  w.u64(m.target);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<GroupOpMsg> parse_group_op(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupOp);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  const auto op = r->u8();
-  const auto group = r->u32();
-  const auto actor = r->u64();
-  const auto target = r->u64();
-  if (!id || !op || !group || !actor || !target) return std::nullopt;
-  if (*op < static_cast<std::uint8_t>(GroupOp::kCreate) ||
-      *op > static_cast<std::uint8_t>(GroupOp::kRevoke)) {
-    return std::nullopt;
-  }
-  return GroupOpMsg{*id, static_cast<GroupOp>(*op), *group, *actor, *target};
-}
-
-net::Chunk encode(const GroupOpAckMsg& m) {
-  ByteBuffer out = begin(MsgType::kGroupOpAck);
-  ByteWriter w{out};
-  w.u64(m.op_id);
-  w.u8(static_cast<std::uint8_t>(m.status));
-  encode_epoch(w, m.epoch);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<GroupOpAckMsg> parse_group_op_ack(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupOpAck);
-  if (!r) return std::nullopt;
-  const auto id = r->u64();
-  const auto status = r->u8();
-  if (!id || !status) return std::nullopt;
-  const auto epoch = parse_epoch(*r);
-  if (!epoch) return std::nullopt;
-  return GroupOpAckMsg{*id, static_cast<GroupOpStatus>(*status), *epoch};
-}
-
-net::Chunk encode(const GroupSyncMsg& m) {
-  ByteBuffer out = begin(MsgType::kGroupSync);
-  ByteWriter w{out};
-  w.u64(m.host);
-  w.u16(static_cast<std::uint16_t>(m.held.size()));
-  for (const auto& [group, version] : m.held) {
-    w.u32(group);
-    w.u64(version);
-  }
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<GroupSyncMsg> parse_group_sync(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupSync);
-  if (!r) return std::nullopt;
-  GroupSyncMsg m;
-  const auto host = r->u64();
-  const auto n = r->u16();
-  if (!host || !n) return std::nullopt;
-  m.host = *host;
-  m.held.reserve(*n);
-  for (std::size_t i = 0; i < *n; ++i) {
-    const auto group = r->u32();
-    const auto version = r->u64();
-    if (!group || !version) return std::nullopt;
-    m.held.emplace_back(*group, *version);
-  }
-  return m;
-}
-
-net::Chunk encode(const GroupEpochMsg& m) {
-  ByteBuffer out = begin(MsgType::kGroupEpoch);
-  ByteWriter w{out};
-  encode_epoch(w, m.epoch);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<GroupEpochMsg> parse_group_epoch(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupEpoch);
-  if (!r) return std::nullopt;
-  const auto epoch = parse_epoch(*r);
-  if (!epoch) return std::nullopt;
-  return GroupEpochMsg{*epoch};
-}
-
-net::Chunk encode(const GroupReplicateMsg& m) {
-  ByteBuffer out = begin(MsgType::kGroupReplicate);
-  ByteWriter w{out};
-  w.u16(static_cast<std::uint16_t>(m.epochs.size()));
-  for (const GroupEpoch& e : m.epochs) encode_epoch(w, e);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<GroupReplicateMsg> parse_group_replicate(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupReplicate);
-  if (!r) return std::nullopt;
-  const auto n = r->u16();
-  if (!n) return std::nullopt;
-  GroupReplicateMsg m;
-  m.epochs.reserve(*n);
-  for (std::size_t i = 0; i < *n; ++i) {
-    const auto e = parse_epoch(*r);
-    if (!e) return std::nullopt;
-    m.epochs.push_back(*e);
-  }
-  return m;
-}
-
-net::Chunk encode(const GroupHandshakeMsg& m) {
-  // (from, to) lead the body so a relay can route the message with
-  // overlay::parse_group_route alone.
-  ByteBuffer out = begin(MsgType::kGroupHandshake);
-  ByteWriter w{out};
-  w.u64(m.from_host);
-  w.u64(m.to_host);
-  w.u32(m.group);
-  w.u32(m.round);
-  w.u8(m.reply ? 1 : 0);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<GroupHandshakeMsg> parse_group_handshake(const net::Chunk& c) {
-  auto r = open(c, MsgType::kGroupHandshake);
-  if (!r) return std::nullopt;
-  const auto from = r->u64();
-  const auto to = r->u64();
-  const auto group = r->u32();
-  const auto round = r->u32();
-  const auto reply = r->u8();
-  if (!from || !to || !group || !round || !reply) return std::nullopt;
-  return GroupHandshakeMsg{*from, *to, *group, *round, *reply != 0};
-}
-
-ByteBuffer epoch_to_bytes(const GroupEpoch& epoch) {
-  ByteBuffer out;
-  ByteWriter w{out};
-  encode_epoch(w, epoch);
-  return out;
-}
-
-std::optional<GroupEpoch> epoch_from_bytes(std::span<const std::byte> b) {
-  ByteReader r{b};
-  return parse_epoch(r);
 }
 
 std::string GroupLog::to_jsonl() const {

@@ -8,24 +8,21 @@
 // broadcast domain by GroupId so one physical tunnel set carries N
 // isolated L2 domains.
 //
-// This header keeps the light, dependency-free pieces — ids, the epoch
-// record and its wire codec, the GroupGate interface the switch consults
-// per frame, and the GroupLog event collector behind --groups-out — so
-// wavnet/ can include it without pulling in the authority or member
-// machinery.
+// This header keeps the light pieces — ids, the epoch record and the
+// group messages with their field lists, the GroupGate interface the
+// switch consults per frame, and the GroupLog event collector behind
+// --groups-out — so wavnet/ can include it without pulling in the
+// authority or member machinery.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "common/units.hpp"
-#include "net/packet.hpp"
+#include "net/wire.hpp"
+#include "overlay/messages.hpp"
 
 namespace wav::vpg {
 
@@ -50,6 +47,14 @@ struct GroupEpoch {
   [[nodiscard]] bool is_invited(std::uint64_t host) const;
   [[nodiscard]] bool is_revoked(std::uint64_t host) const;
 };
+/// Also the payload of the group's CAN record (self-describing, so a query
+/// hit merges without the authority) and the element of the shard-ping
+/// replication payload.
+template <class Io>
+bool fields(Io& io, GroupEpoch& e) {
+  return io(e.group, e.version, e.changed_at, wire::list<std::uint16_t>(e.members),
+            wire::list<std::uint16_t>(e.invited), wire::list<std::uint16_t>(e.revoked));
+}
 
 /// Membership operations a member can ask the authority to apply.
 enum class GroupOp : std::uint8_t {
@@ -61,6 +66,19 @@ enum class GroupOp : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(GroupOp op) noexcept;
+
+/// True when `op` names an enumerator (a parse check on wire bytes).
+[[nodiscard]] constexpr bool is_valid(GroupOp op) noexcept {
+  switch (op) {
+    case GroupOp::kCreate:
+    case GroupOp::kInvite:
+    case GroupOp::kJoin:
+    case GroupOp::kLeave:
+    case GroupOp::kRevoke:
+      return true;
+  }
+  return false;
+}
 
 /// Outcome codes for a GroupOpAck.
 enum class GroupOpStatus : std::uint8_t {
@@ -74,80 +92,101 @@ enum class GroupOpStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(GroupOpStatus status) noexcept;
 
+[[nodiscard]] constexpr bool is_valid(GroupOpStatus status) noexcept {
+  switch (status) {
+    case GroupOpStatus::kOk:
+    case GroupOpStatus::kUnknownGroup:
+    case GroupOpStatus::kExists:
+    case GroupOpStatus::kNotInvited:
+    case GroupOpStatus::kNotMember:
+    case GroupOpStatus::kRevoked:
+      return true;
+  }
+  return false;
+}
+
 // --- wire formats -------------------------------------------------------
 // Group control messages ride the overlay MsgType space (kGroupOp..
-// kGroupHandshake, overlay/messages.hpp) but their bodies are encoded
-// here: the rendezvous/relay layers only ever need the leading type byte
-// (and, for relayed handshakes, the (from, to) routing pair — see
-// overlay::parse_group_route).
+// kGroupHandshake, overlay/messages.hpp) and use its codec (wire::encode /
+// wire::parse); the rendezvous/relay layers only ever need the leading
+// type byte (and, for relayed handshakes, the overlay::GroupRoute pair).
 
 struct GroupOpMsg {
+  static constexpr overlay::MsgType kType = overlay::MsgType::kGroupOp;
   std::uint64_t op_id{0};  // echoes back in the ack (retry matching)
   GroupOp op{GroupOp::kCreate};
   GroupId group{0};
   std::uint64_t actor{0};
   std::uint64_t target{0};  // invite/revoke subject; 0 otherwise
 };
+template <class Io>
+bool fields(Io& io, GroupOpMsg& m) {
+  return io(m.op_id, m.op, m.group, m.actor, m.target);
+}
 
 struct GroupOpAckMsg {
+  static constexpr overlay::MsgType kType = overlay::MsgType::kGroupOpAck;
   std::uint64_t op_id{0};
   GroupOpStatus status{GroupOpStatus::kOk};
   GroupEpoch epoch;  // authoritative state after the op (when known)
 };
+template <class Io>
+bool fields(Io& io, GroupOpAckMsg& m) {
+  return io(m.op_id, m.status, m.epoch);
+}
 
 /// Member -> authority anti-entropy: "here is the version I hold for
 /// each group I think I'm in" (version 0 = none yet).
 struct GroupSyncMsg {
+  static constexpr overlay::MsgType kType = overlay::MsgType::kGroupSync;
   std::uint64_t host{0};
   std::vector<std::pair<GroupId, std::uint64_t>> held;  // (group, version)
 };
+template <class Io>
+bool fields(Io& io, GroupSyncMsg& m) {
+  return io(m.host, wire::list<std::uint16_t>(m.held));
+}
 
 /// Authority -> member epoch push (also the sync reply, one per group
 /// with news). Members ignore versions at or below what they hold.
 struct GroupEpochMsg {
+  static constexpr overlay::MsgType kType = overlay::MsgType::kGroupEpoch;
   GroupEpoch epoch;
 };
+template <class Io>
+bool fields(Io& io, GroupEpochMsg& m) {
+  return io(m.epoch);
+}
 
-/// Authority <-> authority replication payload: full records for every
-/// group the sender owns knowledge of. Rides the shard-ping channel as
-/// an opaque payload (overlay::ShardPingMsg::payload) and doubles as the
-/// direct kGroupReplicate body for eager post-write replication.
+/// Authority <-> authority eager post-write replication: full records
+/// for every group the sender owns knowledge of. The same epochs ride the
+/// shard-ping channel as an opaque payload (overlay::ShardPingMsg::payload).
 struct GroupReplicateMsg {
+  static constexpr overlay::MsgType kType = overlay::MsgType::kGroupReplicate;
   std::vector<GroupEpoch> epochs;
 };
+template <class Io>
+bool fields(Io& io, GroupReplicateMsg& m) {
+  return io(wire::list<std::uint16_t>(m.epochs));
+}
 
 /// Host <-> host modeled pair handshake for one group, riding the
 /// punched tunnel socket: `round` counts the RTT exchanges; the
 /// responder echoes the round until the configured count is reached.
+/// (from, to) lead the body so a relay can route the message by its
+/// overlay::GroupRoute alone.
 struct GroupHandshakeMsg {
+  static constexpr overlay::MsgType kType = overlay::MsgType::kGroupHandshake;
   std::uint64_t from_host{0};
   std::uint64_t to_host{0};
   GroupId group{0};
   std::uint32_t round{0};
   bool reply{false};
 };
-
-void encode_epoch(ByteWriter& w, const GroupEpoch& epoch);
-[[nodiscard]] std::optional<GroupEpoch> parse_epoch(ByteReader& r);
-
-[[nodiscard]] net::Chunk encode(const GroupOpMsg&);
-[[nodiscard]] net::Chunk encode(const GroupOpAckMsg&);
-[[nodiscard]] net::Chunk encode(const GroupSyncMsg&);
-[[nodiscard]] net::Chunk encode(const GroupEpochMsg&);
-[[nodiscard]] net::Chunk encode(const GroupReplicateMsg&);
-[[nodiscard]] net::Chunk encode(const GroupHandshakeMsg&);
-
-[[nodiscard]] std::optional<GroupOpMsg> parse_group_op(const net::Chunk&);
-[[nodiscard]] std::optional<GroupOpAckMsg> parse_group_op_ack(const net::Chunk&);
-[[nodiscard]] std::optional<GroupSyncMsg> parse_group_sync(const net::Chunk&);
-[[nodiscard]] std::optional<GroupEpochMsg> parse_group_epoch(const net::Chunk&);
-[[nodiscard]] std::optional<GroupReplicateMsg> parse_group_replicate(const net::Chunk&);
-[[nodiscard]] std::optional<GroupHandshakeMsg> parse_group_handshake(const net::Chunk&);
-
-/// Serializes epochs for CAN item storage (and back). The CAN payload is
-/// self-describing so a query hit can be merged without the authority.
-[[nodiscard]] ByteBuffer epoch_to_bytes(const GroupEpoch& epoch);
-[[nodiscard]] std::optional<GroupEpoch> epoch_from_bytes(std::span<const std::byte> b);
+template <class Io>
+bool fields(Io& io, GroupHandshakeMsg& m) {
+  return io(m.from_host, m.to_host, m.group, m.round, m.reply);
+}
 
 // --- the per-frame gate -------------------------------------------------
 

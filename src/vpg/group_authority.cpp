@@ -103,7 +103,7 @@ void GroupAuthority::store_in_can(const GroupEpoch& epoch) {
   // One record per group: every store replaces it, so a version bump
   // leaves no stale record behind.
   rv_.can_node().store(can_point(epoch.group), kEpochKeyTag | epoch.group,
-                       epoch_to_bytes(epoch), config_.can_ttl);
+                       wire::bytes(epoch), config_.can_ttl);
 }
 
 void GroupAuthority::recover_from_can(GroupId group) {
@@ -111,7 +111,7 @@ void GroupAuthority::recover_from_can(GroupId group) {
   rv_.can_node().query(can_point(group), 1, [this](std::vector<can::Item> items) {
     if (down_) return;
     for (const can::Item& item : items) {
-      if (const auto epoch = epoch_from_bytes(item.payload)) {
+      if (const auto epoch = wire::parse<GroupEpoch>(item.payload)) {
         merge(*epoch, "can");
       }
     }
@@ -125,22 +125,24 @@ void GroupAuthority::can_refresh_tick() {
 
 ByteBuffer GroupAuthority::replication_payload() const {
   if (down_ || records_.empty()) return {};
+  // A GroupReplicateMsg body: the epoch count, then the epochs.
   ByteBuffer out;
-  ByteWriter w{out};
-  w.u16(static_cast<std::uint16_t>(records_.size()));
-  for (const auto& [group, epoch] : records_) encode_epoch(w, epoch);
+  wire::Writer w{out};
+  w(static_cast<std::uint16_t>(records_.size()));
+  for (const auto& [group, epoch] : records_) w(epoch);
   return out;
 }
 
 void GroupAuthority::absorb_payload(const ByteBuffer& payload) {
   if (down_) return;
-  ByteReader r{payload};
-  const auto n = r.u16();
-  if (!n) return;
-  for (std::size_t i = 0; i < *n; ++i) {
-    const auto epoch = parse_epoch(r);
-    if (!epoch) return;
-    merge(*epoch, "shard_ping");
+  // Epochs merge as they parse, so those ahead of a short one still land.
+  wire::Reader r{payload};
+  std::uint16_t n = 0;
+  if (!r(n)) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    GroupEpoch epoch;
+    if (!r(epoch)) return;
+    merge(epoch, "shard_ping");
   }
 }
 
@@ -163,15 +165,15 @@ void GroupAuthority::on_datagram(const net::Endpoint& from,
   if (!type) return;
   switch (*type) {
     case MsgType::kGroupOp: {
-      if (const auto msg = parse_group_op(*chunk)) handle_op(from, *msg);
+      if (const auto msg = wire::parse<GroupOpMsg>(*chunk)) handle_op(from, *msg);
       return;
     }
     case MsgType::kGroupSync: {
-      if (const auto msg = parse_group_sync(*chunk)) handle_sync(from, *msg);
+      if (const auto msg = wire::parse<GroupSyncMsg>(*chunk)) handle_sync(from, *msg);
       return;
     }
     case MsgType::kGroupReplicate: {
-      if (const auto msg = parse_group_replicate(*chunk)) {
+      if (const auto msg = wire::parse<GroupReplicateMsg>(*chunk)) {
         for (const GroupEpoch& e : msg->epochs) merge(e, "replicate");
       }
       return;
@@ -190,7 +192,7 @@ void GroupAuthority::handle_op(const net::Endpoint& from, const GroupOpMsg& msg)
   if (const auto it = records_.find(msg.group); it != records_.end()) {
     ack.epoch = it->second;
   }
-  socket_.send_to(from, encode(ack));
+  socket_.send_to(from, wire::encode(ack));
   if (status != GroupOpStatus::kOk) {
     c_ops_rejected_->inc();
     return;
@@ -205,7 +207,7 @@ void GroupAuthority::handle_op(const net::Endpoint& from, const GroupOpMsg& msg)
   // Eager replication: the periodic shard-ping payload would carry this
   // anyway, but a revocation shouldn't wait out a ping interval.
   if (!config_.peers.empty()) {
-    const net::Chunk rep = encode(GroupReplicateMsg{{epoch}});
+    const net::Chunk rep = wire::encode(GroupReplicateMsg{{epoch}});
     for (const auto& peer : config_.peers) socket_.send_to(peer, rep);
   }
   // The revoked host is deliberately left out of the push; it discovers
@@ -281,7 +283,7 @@ GroupOpStatus GroupAuthority::apply(const GroupOpMsg& msg) {
 }
 
 void GroupAuthority::push_epoch(const GroupEpoch& epoch, std::uint64_t exclude) {
-  const net::Chunk chunk = encode(GroupEpochMsg{epoch});
+  const net::Chunk chunk = wire::encode(GroupEpochMsg{epoch});
   auto push_to = [&](std::uint64_t host) {
     if (host == exclude) return;
     const auto it = member_endpoints_.find(host);
@@ -303,7 +305,7 @@ void GroupAuthority::handle_sync(const net::Endpoint& from, const GroupSyncMsg& 
     }
     if (it->second.version > version) {
       c_epochs_pushed_->inc();
-      socket_.send_to(from, encode(GroupEpochMsg{it->second}));
+      socket_.send_to(from, wire::encode(GroupEpochMsg{it->second}));
     }
   }
 }

@@ -114,7 +114,7 @@ void GroupMember::transmit_op(std::uint64_t op_id) {
   auto& pending = pending_ops_.at(op_id);
   c_ops_sent_->inc();
   socket_.send_to(authority_for(pending.msg.group, pending.cursor),
-                  encode(pending.msg));
+                  wire::encode(pending.msg));
   const std::uint64_t epoch = ++pending.epoch;
   agent_.sim().schedule_after(config_.op_timeout,
                               WAV_PROF_CATEGORY("vpg", "op_timeout"),
@@ -147,7 +147,7 @@ void GroupMember::on_authority_datagram(const net::Endpoint& from,
   if (!type) return;
   switch (*type) {
     case MsgType::kGroupOpAck: {
-      const auto msg = parse_group_op_ack(*chunk);
+      const auto msg = wire::parse<GroupOpAckMsg>(*chunk);
       if (!msg) return;
       if (msg->epoch.version != 0) adopt(msg->epoch);
       const auto it = pending_ops_.find(msg->op_id);
@@ -169,7 +169,7 @@ void GroupMember::on_authority_datagram(const net::Endpoint& from,
       return;
     }
     case MsgType::kGroupEpoch: {
-      if (const auto msg = parse_group_epoch(*chunk)) adopt(msg->epoch);
+      if (const auto msg = wire::parse<GroupEpochMsg>(*chunk)) adopt(msg->epoch);
       return;
     }
     default:
@@ -264,7 +264,7 @@ void GroupMember::sync_tick() {
     // group's home authority is down) and any replica holding a newer
     // version answers. The fleet is small — a handful of endpoints — so
     // the fan-out is cheaper than stalling convergence on an outage.
-    const net::Chunk chunk = encode(msg);
+    const net::Chunk chunk = wire::encode(msg);
     for (const net::Endpoint& authority : config_.authorities) {
       socket_.send_to(authority, chunk);
     }
@@ -335,13 +335,13 @@ void GroupMember::send_handshake(GroupId group, std::uint64_t peer,
           return;
         }
         agent_.send_group_ctrl(
-            peer, encode(GroupHandshakeMsg{agent_.id(), peer, group, round, reply}));
+            peer, wire::encode(GroupHandshakeMsg{agent_.id(), peer, group, round, reply}));
       });
 }
 
 void GroupMember::on_group_ctrl(std::uint64_t from, const net::Chunk& chunk) {
   if (agent_.offline()) return;
-  if (const auto msg = parse_group_handshake(chunk)) {
+  if (const auto msg = wire::parse<GroupHandshakeMsg>(chunk)) {
     if (msg->from_host == from) handle_handshake(from, *msg);
   }
 }

@@ -10,41 +10,6 @@ constexpr std::uint16_t kClientPort = 68;
 
 }  // namespace
 
-net::Chunk encode_dhcp(const DhcpMessage& msg) {
-  ByteBuffer out;
-  ByteWriter w{out};
-  w.u8(static_cast<std::uint8_t>(msg.type));
-  w.u32(msg.xid);
-  for (const auto octet : msg.client_mac.octets) w.u8(octet);
-  w.u32(msg.your_ip.value);
-  w.u32(msg.server_ip.value);
-  w.u32(msg.lease_seconds);
-  return net::Chunk::from_bytes(std::move(out));
-}
-
-std::optional<DhcpMessage> parse_dhcp(const net::Chunk& chunk) {
-  ByteReader r{chunk.real};
-  DhcpMessage msg;
-  const auto type = r.u8();
-  const auto xid = r.u32();
-  if (!type || !xid) return std::nullopt;
-  msg.type = static_cast<DhcpMessageType>(*type);
-  msg.xid = *xid;
-  for (auto& octet : msg.client_mac.octets) {
-    const auto b = r.u8();
-    if (!b) return std::nullopt;
-    octet = *b;
-  }
-  const auto yiaddr = r.u32();
-  const auto server = r.u32();
-  const auto lease = r.u32();
-  if (!yiaddr || !server || !lease) return std::nullopt;
-  msg.your_ip = net::Ipv4Address{*yiaddr};
-  msg.server_ip = net::Ipv4Address{*server};
-  msg.lease_seconds = *lease;
-  return msg;
-}
-
 // --- server ----------------------------------------------------------------
 
 DhcpServer::DhcpServer(VirtualIpStack& stack, Config config)
@@ -88,7 +53,7 @@ void DhcpServer::on_datagram(const net::Endpoint& from, const net::UdpDatagram& 
   (void)from;
   const auto* chunk = dgram.chunk();
   if (chunk == nullptr) return;
-  const auto msg = parse_dhcp(*chunk);
+  const auto msg = wire::parse<DhcpMessage>(*chunk);
   if (!msg) return;
 
   auto reply = [&](DhcpMessage out) {
@@ -98,7 +63,7 @@ void DhcpServer::on_datagram(const net::Endpoint& from, const net::UdpDatagram& 
     out.lease_seconds =
         static_cast<std::uint32_t>(to_seconds(config_.lease_time));
     // Clients have no IP yet: reply via link-layer broadcast.
-    socket_.send_to({net::Ipv4Address{0xFFFFFFFF}, kClientPort}, encode_dhcp(out));
+    socket_.send_to({net::Ipv4Address{0xFFFFFFFF}, kClientPort}, wire::encode(out));
   };
 
   switch (msg->type) {
@@ -163,7 +128,7 @@ void DhcpClient::send_discover() {
   net::UdpDatagram dgram;
   dgram.src_port = kClientPort;
   dgram.dst_port = kServerPort;
-  dgram.payload = encode_dhcp(msg);
+  dgram.payload = wire::encode(msg);
   net::IpPacket pkt;
   pkt.src = net::Ipv4Address{};  // 0.0.0.0: no address yet
   pkt.dst = net::Ipv4Address{0xFFFFFFFF};
@@ -180,7 +145,7 @@ void DhcpClient::on_frame(const net::EthernetFrame& frame) {
   if (udp == nullptr || udp->dst_port != kClientPort) return;
   const auto* chunk = udp->chunk();
   if (chunk == nullptr) return;
-  const auto msg = parse_dhcp(*chunk);
+  const auto msg = wire::parse<DhcpMessage>(*chunk);
   if (!msg || msg->xid != xid_ || msg->client_mac != nic_.mac()) return;
 
   switch (msg->type) {
@@ -195,7 +160,7 @@ void DhcpClient::on_frame(const net::EthernetFrame& frame) {
       net::UdpDatagram dgram;
       dgram.src_port = kClientPort;
       dgram.dst_port = kServerPort;
-      dgram.payload = encode_dhcp(request);
+      dgram.payload = wire::encode(request);
       net::IpPacket pkt;
       pkt.src = net::Ipv4Address{};
       pkt.dst = net::Ipv4Address{0xFFFFFFFF};

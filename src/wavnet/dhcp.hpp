@@ -16,6 +16,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "net/wire.hpp"
 #include "stack/udp.hpp"
 #include "wavnet/bridge.hpp"
 #include "wavnet/virtual_ip.hpp"
@@ -30,6 +31,21 @@ enum class DhcpMessageType : std::uint8_t {
   kNak = 6,
 };
 
+/// True when `t` names a message type (a parse check on wire bytes; the
+/// values have a gap at 4, DHCPDECLINE, which this subset leaves out).
+[[nodiscard]] constexpr bool is_valid(DhcpMessageType t) noexcept {
+  switch (t) {
+    case DhcpMessageType::kDiscover:
+    case DhcpMessageType::kOffer:
+    case DhcpMessageType::kRequest:
+    case DhcpMessageType::kAck:
+    case DhcpMessageType::kNak:
+      return true;
+  }
+  return false;
+}
+
+/// Encoded with wire::encode and parsed with wire::parse<DhcpMessage>.
 struct DhcpMessage {
   DhcpMessageType type{DhcpMessageType::kDiscover};
   std::uint32_t xid{0};
@@ -38,9 +54,10 @@ struct DhcpMessage {
   net::Ipv4Address server_ip{};
   std::uint32_t lease_seconds{0};
 };
-
-[[nodiscard]] net::Chunk encode_dhcp(const DhcpMessage& msg);
-[[nodiscard]] std::optional<DhcpMessage> parse_dhcp(const net::Chunk& chunk);
+template <class Io>
+bool fields(Io& io, DhcpMessage& m) {
+  return io(m.type, m.xid, m.client_mac, m.your_ip, m.server_ip, m.lease_seconds);
+}
 
 /// Leases addresses from a pool. Runs on any virtual-LAN member's stack.
 class DhcpServer {

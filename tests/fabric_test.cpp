@@ -231,6 +231,33 @@ TEST(Nat, PortAllocationSkipsActiveBindings) {
   }
 }
 
+TEST(InternetCore, HeldPacketSurvivesNewAttachments) {
+  // A datagram waiting out its core delay must still leave on its egress
+  // interface after new attachments grow the core's interface table.
+  sim::Simulation sim;
+  fabric::Network network{sim};
+  fabric::Wan wan{network};
+  auto& a = wan.add_public_host("a");
+  auto& b = wan.add_public_host("b");
+  fabric::PairPath path;
+  path.one_way = milliseconds(20);
+  wan.set_path("a", "b", path);
+
+  stack::UdpLayer udp_a{a};
+  stack::UdpLayer udp_b{b};
+  stack::UdpSocket rx{udp_b, 9};
+  int delivered = 0;
+  rx.on_receive([&](const net::Endpoint&, const net::UdpDatagram&) { ++delivered; });
+  stack::UdpSocket tx{udp_a, 10};
+  tx.send_to({b.primary_address(), 9}, net::Chunk::virtual_bytes(100));
+  sim.run_for(milliseconds(5));
+  ASSERT_EQ(delivered, 0);  // held in the core
+
+  for (int i = 0; i < 64; ++i) wan.add_public_host("late" + std::to_string(i));
+  sim.run_for(seconds(1));
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST(ProcessingQueue, FifoServiceAndBacklogDrop) {
   sim::Simulation sim;
   wavnet::ProcessingQueue::Config cfg;

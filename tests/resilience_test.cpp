@@ -28,7 +28,7 @@ TEST(Dhcp, CodecRoundTrip) {
   msg.your_ip = net::Ipv4Address::parse("10.10.0.55").value();
   msg.server_ip = net::Ipv4Address::parse("10.10.0.1").value();
   msg.lease_seconds = 3600;
-  const auto parsed = wavnet::parse_dhcp(wavnet::encode_dhcp(msg));
+  const auto parsed = wire::parse<wavnet::DhcpMessage>(wire::encode(msg));
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, msg.type);
   EXPECT_EQ(parsed->xid, msg.xid);
