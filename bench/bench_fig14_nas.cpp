@@ -37,15 +37,15 @@ struct NasWorld {
     // high-RTT paths (not raw capacity) are what throttles random clusters.
     world->build_emulated(members.size(), megabits_per_sec(250), milliseconds(20));
     for (std::size_t i = 0; i < members.size(); ++i) {
-      names.push_back("h" + std::to_string(i + 1));
+      names.push_back(std::string("h").append(std::to_string(i + 1)));
     }
     // Overwrite the uniform default paths with the matrix latencies.
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = i + 1; j < members.size(); ++j) {
         fabric::PairPath path;
         path.one_way = milliseconds_f(matrix.at(members[i], members[j]) / 2.0);
-        world->wan().set_path("s" + std::to_string(i + 1), "s" + std::to_string(j + 1),
-                              path);
+        world->wan().set_path(std::string("s").append(std::to_string(i + 1)),
+                              std::string("s").append(std::to_string(j + 1)), path);
       }
     }
     world->deploy();

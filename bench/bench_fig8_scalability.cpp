@@ -40,7 +40,7 @@ Outcome measure(benchx::Plane plane, std::size_t n_hosts) {
   std::size_t measured = 0;
   const std::size_t step = n_hosts <= 9 ? 1 : (n_hosts - 1) / 8;
   for (std::size_t peer = 2; peer <= n_hosts; peer += step) {
-    auto& dst = world.host("h" + std::to_string(peer));
+    auto& dst = world.host(std::string("h").append(std::to_string(peer)));
     tcp::TcpLayer tcp_rx{dst.stack()};
     apps::NetperfStream::Config cfg;
     cfg.duration = seconds(10);

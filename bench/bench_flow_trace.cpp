@@ -29,7 +29,7 @@ struct ScenarioResult {
   std::uint64_t passages{0};
   std::uint64_t delivered{0};
   std::uint64_t dropped{0};
-  std::string dominant_drop;  // "reason" of the top flow.drops.* counter
+  std::string dominant_drop{"-"};  // "reason" of the top flow.drops.* counter
 };
 
 /// Sends `count` echo requests h1 -> h2 at a 500 ms cadence.
@@ -69,7 +69,6 @@ ScenarioResult summarize(const std::string& name, benchx::World& world) {
       r.dominant_drop = reason;
     }
   }
-  if (best == 0) r.dominant_drop = "-";
   return r;
 }
 

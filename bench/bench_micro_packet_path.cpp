@@ -185,7 +185,7 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
 /// cancel / fire mix the overlay timers and processing queues generate.
 /// Payload lambdas capture 24 bytes so the inline-callback path is the
 /// one measured (no allocation), and every 4th event is cancelled so
-/// true O(log n) removal is on the hot path.
+/// removal is on the hot path.
 void perf_event_phase(std::FILE* out, std::uint64_t seed) {
   constexpr int kRounds = 20000;
   constexpr int kPerRound = 64;
@@ -315,27 +315,18 @@ int perf_frame_phase(std::FILE* out, std::uint64_t seed) {
 
 // --- timers-heavy mode (--timers-out) ---------------------------------------
 
-/// One store's run of the timers-heavy workload: everything the two
-/// stores must agree on, plus the wall clock they compete on.
-struct TimerRunResult {
-  std::uint64_t events_executed{0};
-  std::uint64_t fires{0};
-  std::uint64_t checksum{0};
-  double wall_s{0.0};
-};
-
 /// The 10k-live-recurring-timer workload (keepalives, RTO-style backoff
-/// re-arms, and a deep bed of parked far-future timeouts), run through
-/// either event store. The fire-order checksum makes the heap/wheel
-/// equivalence check sensitive to any ordering divergence.
-TimerRunResult run_timer_store(std::uint64_t seed, bool use_wheel) {
+/// re-arms, and a deep bed of parked far-future timeouts). Fire count,
+/// events executed and an order-sensitive checksum are pure functions of
+/// the seed; the wall clock rides along as perf.* gauges.
+void perf_timer_phase(std::FILE* out, std::uint64_t seed) {
   constexpr int kPeriodicTimers = 9000;  // keepalive-style fixed cadence
   constexpr int kOneShotTimers = 1000;   // RTO-style re-arm on every fire
   constexpr int kParkedTimeouts = 30000;  // pending but never firing
-  TimerRunResult res;
+  std::uint64_t fires = 0;
+  std::uint64_t checksum = 0;
 
   sim::Simulation sim{seed};
-  sim.set_use_timer_wheel(use_wheel);
   const auto category = WAV_PROF_CATEGORY("bench", "timer");
 
   std::vector<std::unique_ptr<sim::PeriodicTimer>> periodic;
@@ -344,9 +335,9 @@ TimerRunResult run_timer_store(std::uint64_t seed, bool use_wheel) {
     const auto idx = static_cast<std::uint64_t>(i);
     auto t = std::make_unique<sim::PeriodicTimer>(
         sim, milliseconds(5 + i % 45),
-        [&res, idx] {
-          ++res.fires;
-          res.checksum += (idx + 1) * res.fires;  // order-sensitive mix
+        [&fires, &checksum, idx] {
+          ++fires;
+          checksum += (idx + 1) * fires;  // order-sensitive mix
         },
         category);
     t->start_after(microseconds((i * 37) % 5000));
@@ -359,68 +350,39 @@ TimerRunResult run_timer_store(std::uint64_t seed, bool use_wheel) {
     auto* slot = &oneshot[static_cast<std::size_t>(i)];
     *slot = std::make_unique<sim::OneShotTimer>(
         sim,
-        [&res, idx, slot] {
-          ++res.fires;
-          res.checksum += (idx + 0x10000) * res.fires;
-          (*slot)->arm(
-              milliseconds(static_cast<std::int64_t>(1 + (idx + res.fires) % 20)));
+        [&fires, &checksum, idx, slot] {
+          ++fires;
+          checksum += (idx + 0x10000) * fires;
+          (*slot)->arm(milliseconds(static_cast<std::int64_t>(1 + (idx + fires) % 20)));
         },
         category);
     (*slot)->arm(microseconds(500 + (i * 131) % 3000));
   }
   // Parked ballast: timeouts that are pending for the whole run but never
-  // fire (NAT expiries, dead-peer timers). They deepen the heap to ~40k
-  // entries; the wheel parks them in upper levels at O(1).
+  // fire (NAT expiries, dead-peer timers). The wheel parks them in upper
+  // levels at O(1).
   for (int i = 0; i < kParkedTimeouts; ++i) {
     sim.schedule_after(seconds(3600 + i % 600), category, [] {});
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   sim.run_for(seconds(5));
-  res.wall_s = wall_seconds_since(t0);
-  res.events_executed = sim.events_executed();
-  return res;
-}
-
-int perf_timer_phase(std::FILE* out, std::uint64_t seed) {
-  const TimerRunResult heap = run_timer_store(seed, /*use_wheel=*/false);
-  const TimerRunResult wheel = run_timer_store(seed, /*use_wheel=*/true);
-  if (wheel.events_executed != heap.events_executed || wheel.fires != heap.fires ||
-      wheel.checksum != heap.checksum) {
-    std::fprintf(stderr,
-                 "perf: timer stores diverged (wheel %llu/%llu/%llx vs heap "
-                 "%llu/%llu/%llx)\n",
-                 static_cast<unsigned long long>(wheel.events_executed),
-                 static_cast<unsigned long long>(wheel.fires),
-                 static_cast<unsigned long long>(wheel.checksum),
-                 static_cast<unsigned long long>(heap.events_executed),
-                 static_cast<unsigned long long>(heap.fires),
-                 static_cast<unsigned long long>(heap.checksum));
-    return 1;
-  }
-  const double wheel_rate = static_cast<double>(wheel.events_executed) / wheel.wall_s;
-  const double heap_rate = static_cast<double>(heap.events_executed) / heap.wall_s;
+  const double wall = wall_seconds_since(t0);
+  const auto events = static_cast<double>(sim.events_executed());
 
   // A scratch world carries the export: deterministic bench.* counts the
   // CI gate compares, wall-clock perf.* gauges that ride along ungated.
   sim::Simulation scratch{seed};
   obs::MetricsRegistry& reg = scratch.metrics();
-  reg.gauge("bench.timer_events_executed")
-      .set(static_cast<double>(wheel.events_executed));
-  reg.gauge("bench.timer_fires").set(static_cast<double>(wheel.fires));
+  reg.gauge("bench.timer_events_executed").set(events);
+  reg.gauge("bench.timer_fires").set(static_cast<double>(fires));
   reg.gauge("bench.timer_checksum_low32")
-      .set(static_cast<double>(wheel.checksum & 0xFFFFFFFFull));
-  reg.gauge("bench.timer_stores_agree").set(1.0);
-  reg.gauge("perf.timers_wheel_events_per_sec").set(wheel_rate);
-  reg.gauge("perf.timers_heap_events_per_sec").set(heap_rate);
-  reg.gauge("perf.timers_wheel_speedup").set(wheel_rate / heap_rate);
-  reg.gauge("perf.timers_wall_ms").set((wheel.wall_s + heap.wall_s) * 1e3);
+      .set(static_cast<double>(checksum & 0xFFFFFFFFull));
+  reg.gauge("perf.timers_wheel_events_per_sec").set(events / wall);
+  reg.gauge("perf.timers_wall_ms").set(wall * 1e3);
   write_world_line(out, "micro-timers", seed, reg);
-  std::printf("perf: timers  %12.0f fired     wheel %8.2f ms  heap %8.2f ms  "
-              "speedup %.2fx\n",
-              static_cast<double>(wheel.fires), wheel.wall_s * 1e3, heap.wall_s * 1e3,
-              wheel_rate / heap_rate);
-  return 0;
+  std::printf("perf: timers  %12.0f fired     %8.2f ms  %10.2f K events/s\n",
+              static_cast<double>(fires), wall * 1e3, events / wall / 1e3);
 }
 
 int run_timers_mode(const std::string& out_path, std::uint64_t seed) {
@@ -429,10 +391,10 @@ int run_timers_mode(const std::string& out_path, std::uint64_t seed) {
     std::fprintf(stderr, "perf: cannot write %s\n", out_path.c_str());
     return 2;
   }
-  const int rc = perf_timer_phase(f, seed);
+  perf_timer_phase(f, seed);
   benchx::append_profile_line("micro-timers", seed);
   std::fclose(f);
-  return rc;
+  return 0;
 }
 
 int run_perf_mode(const std::string& out_path, std::uint64_t seed) {

@@ -56,7 +56,7 @@ ScenarioResult run_scenario(const std::string& name, std::uint64_t seed,
   chaos::ChaosController controller{world.sim()};
   controller.set_wan(world.wan());
   for (std::size_t i = 1; i <= kSites; ++i) {
-    const std::string site = "s" + std::to_string(i);
+    const std::string site = std::string("s").append(std::to_string(i));
     controller.add_nat(site, *world.wan().site(site)->gateway);
   }
   controller.add_rendezvous("rendezvous", *world.rendezvous());

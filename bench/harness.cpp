@@ -299,7 +299,7 @@ void World::build_paper_testbed() {
 void World::build_emulated(std::size_t n, BitRate access_rate, Duration rtt) {
   for (std::size_t i = 1; i <= n; ++i) {
     fabric::SiteConfig cfg;
-    cfg.name = "s" + std::to_string(i);
+    cfg.name = std::string("s").append(std::to_string(i));
     cfg.access_rate = access_rate;
     cfg.access_delay = microseconds(100);
     cfg.nat.type = emulated_nat_;
@@ -314,7 +314,7 @@ void World::build_emulated(std::size_t n, BitRate access_rate, Duration rtt) {
         10, 10, static_cast<std::uint8_t>(next_vip_ / 200),
         static_cast<std::uint8_t>(next_vip_ % 200 + 10));
     ++next_vip_;
-    const std::string name = "h" + std::to_string(i);
+    const std::string name = std::string("h").append(std::to_string(i));
     hosts_[name] = std::move(d);
     host_site_[name] = cfg.name;
   }

@@ -25,14 +25,16 @@ double run_heat_on(const group::LatencyMatrix& matrix,
     for (std::size_t j = i + 1; j < members.size(); ++j) {
       fabric::PairPath path;
       path.one_way = milliseconds_f(matrix.at(members[i], members[j]) / 2.0);
-      world.wan().set_path("s" + std::to_string(i + 1), "s" + std::to_string(j + 1), path);
+      world.wan().set_path(std::string("s").append(std::to_string(i + 1)),
+                           std::string("s").append(std::to_string(j + 1)), path);
     }
   }
   world.deploy();
 
   std::vector<apps::MpiCluster::RankEnv> envs;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    envs.push_back({&world.host("h" + std::to_string(i + 1)).stack(), [] { return 2.0; }});
+    envs.push_back({&world.host(std::string("h").append(std::to_string(i + 1))).stack(),
+                    [] { return 2.0; }});
   }
   apps::MpiCluster mpi{std::move(envs)};
   apps::HeatSolver solver{mpi, 64, 1500};

@@ -2,9 +2,10 @@
 //
 // The simulator carries structured packets between nodes for speed, but
 // the formats are not hand-waved: every header has an exact big-endian
-// byte layout here, exercised by the codec unit tests and by the WAVNet
-// tunnel path (which serializes whole Ethernet frames when payloads are
-// real bytes). IPv4 and ICMP checksums follow RFC 1071.
+// byte layout here, exercised by the codec unit tests and the packet-path
+// micro-benchmark; nothing in the simulated data path calls it (the
+// WAVNet tunnel carries structured frames). IPv4 and ICMP checksums
+// follow RFC 1071.
 #pragma once
 
 #include <optional>

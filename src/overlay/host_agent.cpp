@@ -7,6 +7,45 @@
 
 namespace wav::overlay {
 
+namespace {
+
+/// Silent liveness probes before failing over to the next rendezvous.
+constexpr std::uint32_t kRendezvousProbeFailures = 3;
+constexpr Duration kPunchInterval = milliseconds(300);
+/// Repeated repunch attempts back off exponentially from the delay up to
+/// the cap, so links lost to long partitions keep retrying until the WAN
+/// heals.
+constexpr Duration kRepunchDelay = seconds(2);
+constexpr Duration kRepunchBackoffMax = seconds(30);
+/// Registration retries back off exponentially from this base up to the
+/// cap (jittered), so a crashed shard's whole population doesn't hammer
+/// the survivor in lockstep.
+constexpr Duration kRegisterRetry = seconds(2);
+constexpr Duration kRegisterRetryMax = seconds(30);
+/// A query unanswered past the timeout is retried with backoff; after the
+/// retries run out its handler fires with an empty result.
+constexpr Duration kQueryTimeout = seconds(2);
+constexpr std::uint32_t kQueryRetries = 2;
+/// An unanswered RelayAllocate is resent this many times before the agent
+/// rotates to the next relay in the list.
+constexpr Duration kRelayAllocTimeout = seconds(2);
+constexpr std::uint32_t kRelayAllocRetries = 2;
+/// Established relayed links re-allocate (refresh) on this cadence;
+/// missing this many refresh acks in a row means the relay died and the
+/// link fails over to the next relay (both sides advance their cursor in
+/// sync, so they meet on the same survivor).
+constexpr Duration kRelayRefreshInterval = seconds(5);
+constexpr std::uint32_t kRelayMaxMissedRefreshes = 3;
+/// Relayed links between punch-compatible NAT pairs periodically re-punch
+/// for this window, upgrading to direct on success.
+constexpr Duration kUpgradeProbeInterval = seconds(15);
+constexpr Duration kUpgradePunchWindow = seconds(3);
+/// The upgrade flush handshake aborts (stays relayed) when the peer
+/// doesn't confirm the relay pipe drained within this timeout.
+constexpr Duration kUpgradeFlushTimeout = seconds(5);
+
+}  // namespace
+
 HostAgent::HostAgent(stack::IpLayer& ip, Config config)
     : ip_(ip),
       config_(std::move(config)),
@@ -26,9 +65,9 @@ HostAgent::HostAgent(stack::IpLayer& ip, Config config)
                    WAV_PROF_CATEGORY("overlay", "pulse_timer")),
       idle_check_timer_(ip.sim(), std::max(config_.link_idle_timeout / 3, seconds(1)),
                         [this] { reap_idle_links(); }),
-      relay_refresh_timer_(ip.sim(), config_.relay_refresh_interval,
+      relay_refresh_timer_(ip.sim(), kRelayRefreshInterval,
                            [this] { refresh_relayed_links(); }),
-      upgrade_probe_timer_(ip.sim(), config_.upgrade_probe_interval,
+      upgrade_probe_timer_(ip.sim(), kUpgradeProbeInterval,
                            [this] { probe_upgrades(); }) {
   active_rendezvous_ = config_.rendezvous;
   relays_ = config_.relays;
@@ -99,8 +138,8 @@ HostAgent::HostAgent(stack::IpLayer& ip, Config config)
   // nominal intervals, identical periods would fire every pulse in the
   // same simulation instant (and, in the real system, the same RTO tick).
   pulse_timer_.set_period(jittered(config_.pulse_interval));
-  relay_refresh_timer_.set_period(jittered(config_.relay_refresh_interval));
-  upgrade_probe_timer_.set_period(jittered(config_.upgrade_probe_interval));
+  relay_refresh_timer_.set_period(jittered(kRelayRefreshInterval));
+  upgrade_probe_timer_.set_period(jittered(kUpgradeProbeInterval));
 
   socket_.on_receive([this](const net::Endpoint& from, const net::UdpDatagram& d) {
     on_datagram(from, d);
@@ -211,16 +250,16 @@ void HostAgent::do_register() {
   // exponentially with jitter so a crashed shard's whole population does
   // not re-register in lockstep. Repeated failures also walk the
   // failover ring.
-  const Duration delay = register_backoff_ <= kZeroDuration ? config_.register_retry
+  const Duration delay = register_backoff_ <= kZeroDuration ? kRegisterRetry
                                                             : register_backoff_;
   ip_.sim().schedule_after(delay, [this] {
     if (registered_ || down_) return;
     register_backoff_ = jittered(
-        std::min((register_backoff_ <= kZeroDuration ? config_.register_retry
+        std::min((register_backoff_ <= kZeroDuration ? kRegisterRetry
                                                      : register_backoff_) *
                      2,
-                 config_.register_retry_max));
-    if (++silent_probes_ >= config_.rendezvous_probe_failures) {
+                 kRegisterRetryMax));
+    if (++silent_probes_ >= kRendezvousProbeFailures) {
       const net::Endpoint before = active_rendezvous_;
       fail_over_rendezvous();
       // An actual switch restarted registration with a fresh backoff.
@@ -254,10 +293,10 @@ void HostAgent::probe_rendezvous() {
   pending.probe = true;
   pending.issued = ip_.sim().now();
   pending.deadline = ip_.sim().schedule_after(
-      config_.query_timeout, [this, qid = probe.query_id] { expire_query(qid); });
+      kQueryTimeout, [this, qid = probe.query_id] { expire_query(qid); });
   pending_queries_[probe.query_id] = std::move(pending);
   socket_.send_to(active_rendezvous_, wire::encode(probe));
-  if (++silent_probes_ > config_.rendezvous_probe_failures) fail_over_rendezvous();
+  if (++silent_probes_ > kRendezvousProbeFailures) fail_over_rendezvous();
 }
 
 void HostAgent::fail_over_rendezvous() {
@@ -300,7 +339,7 @@ void HostAgent::query(const std::vector<double>& target, std::size_t k,
   pending.k = msg.k;
   pending.issued = ip_.sim().now();
   pending.deadline = ip_.sim().schedule_after(
-      config_.query_timeout, [this, qid = msg.query_id] { expire_query(qid); });
+      kQueryTimeout, [this, qid = msg.query_id] { expire_query(qid); });
   pending_queries_[msg.query_id] = std::move(pending);
   socket_.send_to(active_rendezvous_, wire::encode(msg));
 }
@@ -325,7 +364,7 @@ void HostAgent::expire_query(std::uint64_t query_id) {
     pending_queries_.erase(it);
     return;
   }
-  if (pending.attempts < config_.query_retries) {
+  if (pending.attempts < kQueryRetries) {
     // Resend under the same id with a linearly stretched deadline — the
     // reply datagram may simply have been lost.
     ++pending.attempts;
@@ -334,7 +373,7 @@ void HostAgent::expire_query(std::uint64_t query_id) {
     msg.target = pending.target;
     msg.k = pending.k;
     pending.deadline = ip_.sim().schedule_after(
-        config_.query_timeout * (pending.attempts + 1),
+        kQueryTimeout * (pending.attempts + 1),
         [this, query_id] { expire_query(query_id); });
     socket_.send_to(active_rendezvous_, wire::encode(msg));
     return;
@@ -413,7 +452,7 @@ void HostAgent::begin_punching(const HostInfo& peer, ConnectHandler handler) {
     // Jittered per-link so two agents punching each other (or many links
     // punching at once) don't lock their rounds into the same instant.
     link.punch_timer = std::make_unique<sim::PeriodicTimer>(
-        ip_.sim(), jittered(config_.punch_interval),
+        ip_.sim(), jittered(kPunchInterval),
         [this, peer_id] { punch_round(peer_id); },
         WAV_PROF_CATEGORY("overlay", "punch_timer"));
   }
@@ -599,7 +638,7 @@ void HostAgent::send_relay_allocate(Link& link) {
   const std::uint64_t epoch = ++link.alloc_epoch;
   socket_.send_to(link.relay, wire::encode(RelayAllocateMsg{self_.host_id, link.peer}));
   ip_.sim().schedule_after(
-      config_.relay_alloc_timeout,
+      kRelayAllocTimeout,
       [this, peer = link.peer, epoch] { relay_alloc_expired(peer, epoch); });
 }
 
@@ -612,7 +651,7 @@ void HostAgent::relay_alloc_expired(HostId peer, std::uint64_t epoch) {
     // The relay is alive; the peer just hasn't bound its side yet. Keep
     // re-asking the SAME relay (rotating would desync the two cursors),
     // but only for a bounded number of rounds.
-    if (++link.peer_wait_rounds > config_.relay_alloc_retries + 2) {
+    if (++link.peer_wait_rounds > kRelayAllocRetries + 2) {
       if (link.established) {
         const HostInfo info = link.info;
         drop_link(peer);
@@ -629,7 +668,7 @@ void HostAgent::relay_alloc_expired(HostId peer, std::uint64_t epoch) {
 }
 
 void HostAgent::advance_relay(Link& link) {
-  if (++link.relay_attempts <= config_.relay_alloc_retries) {
+  if (++link.relay_attempts <= kRelayAllocRetries) {
     send_relay_allocate(link);
     return;
   }
@@ -737,7 +776,7 @@ void HostAgent::refresh_relayed_links() {
     if (!link.established || link.kind != LinkKind::kRelayed) continue;
     any_relayed = true;
     if (!link.relay_bound) continue;  // re-bind already in progress
-    if (++link.missed_refreshes > config_.relay_max_missed_refreshes) {
+    if (++link.missed_refreshes > kRelayMaxMissedRefreshes) {
       failed.push_back(peer);
       continue;
     }
@@ -768,11 +807,11 @@ void HostAgent::start_upgrade_probe(Link& link) {
   link.probing = true;
   link.nonce = ip_.sim().rng().next();
   link.punch_started = ip_.sim().now();
-  link.punch_deadline = ip_.sim().now() + config_.upgrade_punch_window;
+  link.punch_deadline = ip_.sim().now() + kUpgradePunchWindow;
   if (!link.punch_timer) {
     const HostId peer_id = link.peer;
     link.punch_timer = std::make_unique<sim::PeriodicTimer>(
-        ip_.sim(), jittered(config_.punch_interval),
+        ip_.sim(), jittered(kPunchInterval),
         [this, peer_id] { punch_round(peer_id); },
         WAV_PROF_CATEGORY("overlay", "punch_timer"));
   }
@@ -795,7 +834,7 @@ void HostAgent::start_switchover(Link& link, const net::Endpoint& proven) {
   socket_.send_to(link.relay,
                   wire::encode(RelayFlushMsg{self_.host_id, link.peer, link.flush_nonce}));
   ip_.sim().schedule_after(
-      config_.upgrade_flush_timeout,
+      kUpgradeFlushTimeout,
       [this, peer = link.peer, nonce = link.flush_nonce] {
         flush_expired(peer, nonce);
       });
@@ -989,9 +1028,9 @@ void HostAgent::schedule_repunch(const HostInfo& info) {
   // Exponential backoff per peer (reset when a link establishes), with
   // seeded jitter so a fleet of agents doesn't retry in lockstep.
   Duration& backoff = repunch_backoff_[info.host_id];
-  if (backoff <= kZeroDuration) backoff = config_.repunch_delay;
+  if (backoff <= kZeroDuration) backoff = kRepunchDelay;
   const Duration delay = jittered(backoff);
-  backoff = std::min(backoff * 2, config_.repunch_backoff_max);
+  backoff = std::min(backoff * 2, kRepunchBackoffMax);
   ip_.sim().schedule_after(delay, [this, info] {
     if (down_) return;
     if (!links_.contains(info.host_id)) {
@@ -1193,7 +1232,7 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
           relay_failover(link);
         } else if (!link.established) {
           // A nack (e.g. capacity) won't clear by retrying: rotate now.
-          link.relay_attempts = config_.relay_alloc_retries;
+          link.relay_attempts = kRelayAllocRetries;
           advance_relay(link);
         }
         return;

@@ -47,7 +47,6 @@ class HostAgent {
     /// order), so a dead shard's population spreads across the survivors
     /// deterministically.
     std::vector<net::Endpoint> rendezvous_shards{};
-    std::uint32_t rendezvous_probe_failures{3};  // probes before failover
     /// STUN primary/alternate endpoints; unset skips type detection and
     /// assumes a port-restricted cone (the common case).
     std::optional<std::pair<net::Endpoint, net::Endpoint>> stun{};
@@ -62,51 +61,20 @@ class HostAgent {
     std::uint16_t port{7777};
     Duration heartbeat_interval{seconds(15)};
     Duration pulse_interval{seconds(5)};   // paper §III.B uses 5 s
-    Duration punch_interval{milliseconds(300)};
     Duration punch_timeout{seconds(8)};
     Duration link_idle_timeout{seconds(30)};
     /// When an established link idles out (peer crash, NAT reboot), try
     /// to re-broker and re-punch it through the rendezvous layer.
     bool auto_repunch{true};
-    Duration repunch_delay{seconds(2)};
-    /// Repeated repunch attempts back off exponentially up to this cap,
-    /// so links lost to long partitions keep retrying until the WAN heals.
-    Duration repunch_backoff_max{seconds(30)};
     /// After this many consecutive terminal connect failures to one peer
     /// the agent presumes it permanently departed and prunes its per-peer
     /// state (backoff map, pending request ids) instead of retrying
     /// forever. 0 = never give up (the pre-churn behavior).
     std::uint32_t repunch_give_up{0};
-    /// Registration retries back off exponentially from this base up to
-    /// the cap (jittered), so a crashed shard's whole population doesn't
-    /// hammer the survivor in lockstep.
-    Duration register_retry{seconds(2)};
-    Duration register_retry_max{seconds(30)};
-    /// A query unanswered past the timeout is retried with backoff; after
-    /// the retries run out its handler fires with an empty result.
-    Duration query_timeout{seconds(2)};
-    std::uint32_t query_retries{2};
     /// Statically configured relay servers; the set advertised by the
     /// rendezvous layer in RegisterAck is merged in at registration.
     /// Empty = no relay tier: incompatible pairs fail as before.
     std::vector<net::Endpoint> relays{};
-    /// An unanswered RelayAllocate is resent this many times before the
-    /// agent rotates to the next relay in the list.
-    Duration relay_alloc_timeout{seconds(2)};
-    std::uint32_t relay_alloc_retries{2};
-    /// Established relayed links re-allocate (refresh) on this cadence;
-    /// missing this many refresh acks in a row means the relay died and
-    /// the link fails over to the next relay (both sides advance their
-    /// cursor in sync, so they meet on the same survivor).
-    Duration relay_refresh_interval{seconds(5)};
-    std::uint32_t relay_max_missed_refreshes{3};
-    /// Relayed links between punch-compatible NAT pairs periodically
-    /// re-punch for this window, upgrading to direct on success.
-    Duration upgrade_probe_interval{seconds(15)};
-    Duration upgrade_punch_window{seconds(3)};
-    /// The upgrade flush handshake aborts (stays relayed) when the peer
-    /// doesn't confirm the relay pipe drained within this timeout.
-    Duration upgrade_flush_timeout{seconds(5)};
   };
 
   /// How an established link currently carries frames.

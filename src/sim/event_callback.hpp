@@ -4,10 +4,9 @@
 // small for the simulator's typical callbacks — a capture of `this` plus
 // a refcounted frame and a couple of scalars — so scheduling through
 // std::function heap-allocates on the hot path. EventCallback widens the
-// inline buffer to kInlineBytes (covering essentially every callback in
-// the tree) and only falls back to the heap beyond that, which is what
-// lets the event slab store callbacks in place with zero per-event
-// allocations.
+// inline buffer to kInlineBytes, which holds the timer and control-plane
+// callbacks in the event slab itself, and only falls back to the heap
+// beyond that.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +18,11 @@ namespace wav::sim {
 
 class EventCallback {
  public:
-  /// Inline capacity. 48 bytes fits `this` + shared_ptr + 3 words, the
-  /// largest capture the frame path schedules.
+  /// Inline capacity. 48 bytes fits `this` + shared_ptr + 3 words, which
+  /// covers the timer callbacks. The frame path's captures are larger and
+  /// fall back to the heap: a link delivery captures 104 bytes, because
+  /// it holds an 88-byte IpPacket, a bridge forward 88 and a WAV-Switch
+  /// processing completion 56.
   static constexpr std::size_t kInlineBytes = 48;
 
   EventCallback() noexcept = default;

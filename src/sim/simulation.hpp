@@ -6,20 +6,16 @@
 // pure function of (program, seed): the foundation for reproducible
 // experiments and property tests.
 //
-// The event store is a slab of reusable slots indexed by two structures:
-// a 4-ary heap of slot numbers keyed on (time, seq) for absolute-time
-// `schedule_at` events, and a hashed hierarchical timer wheel
-// (sim/timer_wheel.hpp) for the much larger rotating population of
-// relative-delay `schedule_after` events — keepalives, RTOs, punch
-// retries — which are overwhelmingly cancelled or re-armed before
-// firing. Scheduling is allocation-free in the steady state (slots
-// recycle; callbacks live inline in the slot, see event_callback.hpp),
-// cancellation is a true removal in either store (O(log n) heap /
-// O(1) wheel), and pending_events() is exact — there are no tombstones
-// to drift. EventIds carry a per-slot generation so a stale id (event
-// already fired or cancelled, slot since reused) is always rejected.
-// The executor merges both stores by global (time, seq) order, so a run
-// is byte-identical whether the wheel is enabled or not.
+// The event store is a slab of reusable slots filed on one hashed
+// hierarchical timer wheel (sim/timer_wheel.hpp), which orders them by
+// (deadline, seq) at full-nanosecond precision. `schedule_at` and
+// `schedule_after` differ only in how they compute the deadline.
+// Slots recycle, so scheduling allocates nothing in the steady state
+// for a callback that fits the slot's inline buffer (event_callback.hpp);
+// cancellation is an O(1) unlink, and pending_events() is exact — there
+// are no tombstones to drift. EventIds carry a per-slot generation so a
+// stale id (event already fired or cancelled, slot since reused) is
+// always rejected.
 #pragma once
 
 #include <cstdint>
@@ -61,18 +57,15 @@ class Simulation {
   /// void() callable; small captures are stored inline in the event slab.
   template <class F>
   EventId schedule_at(TimePoint at, F&& fn) {
-    return schedule_impl(at, obs::kProfCategoryNone, EventCallback(std::forward<F>(fn)),
-                         /*relative=*/false);
+    return schedule_impl(at, obs::kProfCategoryNone, EventCallback(std::forward<F>(fn)));
   }
 
   /// Schedules `fn` after a relative delay (negative clamps to zero).
-  /// Relative events are stored on the timer wheel (O(1) schedule/cancel)
-  /// unless disabled; firing order is identical either way.
   template <class F>
   EventId schedule_after(Duration delay, F&& fn) {
     if (delay < kZeroDuration) delay = kZeroDuration;
     return schedule_impl(now_ + delay, obs::kProfCategoryNone,
-                         EventCallback(std::forward<F>(fn)), /*relative=*/true);
+                         EventCallback(std::forward<F>(fn)));
   }
 
   /// Tagged variants: the category (from WAV_PROF_CATEGORY) rides in the
@@ -82,15 +75,13 @@ class Simulation {
   /// identical to the untagged overloads.
   template <class F>
   EventId schedule_at(TimePoint at, obs::ProfCategoryId category, F&& fn) {
-    return schedule_impl(at, category, EventCallback(std::forward<F>(fn)),
-                         /*relative=*/false);
+    return schedule_impl(at, category, EventCallback(std::forward<F>(fn)));
   }
 
   template <class F>
   EventId schedule_after(Duration delay, obs::ProfCategoryId category, F&& fn) {
     if (delay < kZeroDuration) delay = kZeroDuration;
-    return schedule_impl(now_ + delay, category, EventCallback(std::forward<F>(fn)),
-                         /*relative=*/true);
+    return schedule_impl(now_ + delay, category, EventCallback(std::forward<F>(fn)));
   }
 
   /// Cancels a pending event; returns false if it already ran, was
@@ -117,22 +108,8 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_counter_->value();
   }
-  /// Exact count of scheduled-but-not-yet-fired events (both stores).
-  [[nodiscard]] std::size_t pending_events() const noexcept {
-    return heap_.size() + wheel_.size();
-  }
-
-  /// Routes future `schedule_after` events through the timer wheel (on by
-  /// default; the WAVNET_DISABLE_TIMER_WHEEL env var forces it off).
-  /// Toggling only affects events scheduled afterwards — both stores stay
-  /// live and merge in global (time, seq) order, so A/B equivalence tests
-  /// can flip this per-Simulation and compare exports byte-for-byte.
-  void set_use_timer_wheel(bool on) noexcept { timer_wheel_enabled_ = on; }
-  [[nodiscard]] bool timer_wheel_enabled() const noexcept {
-    return timer_wheel_enabled_;
-  }
-  /// Events currently stored on the wheel (tests/diagnostics).
-  [[nodiscard]] std::size_t wheel_events() const noexcept { return wheel_.size(); }
+  /// Exact count of scheduled-but-not-yet-fired events.
+  [[nodiscard]] std::size_t pending_events() const noexcept { return wheel_.size(); }
 
   /// Per-simulation observability: every component instrumenting itself
   /// reaches its registry/tracer through the Simulation it runs on, so
@@ -143,44 +120,26 @@ class Simulation {
   [[nodiscard]] obs::FlowTracer& flows() noexcept { return *flows_; }
 
  private:
-  static constexpr std::uint32_t kNotInHeap = 0xFFFFFFFFu;
-  /// heap_pos sentinel: the slot lives on the timer wheel, not the heap.
-  static constexpr std::uint32_t kInWheel = 0xFFFFFFFEu;
-
-  /// One slab slot. Reused across events; `generation` distinguishes the
-  /// incarnations so stale EventIds never alias a newer event.
+  /// One slab slot, queued on the wheel under the same index. Reused
+  /// across events; `generation` distinguishes the incarnations so stale
+  /// EventIds never alias a newer event, and a slot whose generation
+  /// matches an id is queued (firing or cancelling bumps it).
   struct Slot {
-    TimePoint at{};
-    std::uint64_t seq{0};  // tiebreaker: FIFO among same-time events
     std::uint32_t generation{1};
-    std::uint32_t heap_pos{kNotInHeap};
     obs::ProfCategoryId category{obs::kProfCategoryNone};  // profiler tag
     EventCallback fn;
   };
 
-  EventId schedule_impl(TimePoint at, obs::ProfCategoryId category, EventCallback fn,
-                        bool relative);
+  EventId schedule_impl(TimePoint at, obs::ProfCategoryId category, EventCallback fn);
   void release_slot(std::uint32_t idx);
-  /// Strict total order: (at, seq); seq values are unique.
-  [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const noexcept {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
-  }
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  void heap_remove(std::size_t pos);
   bool pop_and_run_next(TimePoint deadline);
 
   TimePoint now_{};
   Rng rng_;
   std::vector<Slot> slots_;               // slab; grows, never shrinks
   std::vector<std::uint32_t> free_slots_; // recycled slot indices
-  std::vector<std::uint32_t> heap_;       // 4-ary min-heap of slot indices
-  TimerWheel wheel_;                      // relative-delay (timer) events
-  bool timer_wheel_enabled_{true};
-  std::uint64_t next_seq_{1};
+  TimerWheel wheel_;                      // (deadline, seq) of every queued slot
+  std::uint64_t next_seq_{1};             // tiebreaker: FIFO among same-time events
   bool stopped_{false};
 
   // unique_ptr keeps handle addresses stable if Simulation ever moves.
@@ -210,7 +169,6 @@ class PeriodicTimer {
   [[nodiscard]] bool running() const noexcept { return pending_.valid(); }
 
   void set_period(Duration period) noexcept { period_ = period; }
-  [[nodiscard]] Duration period() const noexcept { return period_; }
 
  private:
   void fire();
@@ -241,14 +199,12 @@ class OneShotTimer {
   void arm(Duration delay);
   void cancel();
   [[nodiscard]] bool armed() const noexcept { return pending_.valid(); }
-  [[nodiscard]] TimePoint deadline() const noexcept { return deadline_; }
 
  private:
   Simulation& sim_;
   std::function<void()> on_fire_;
   obs::ProfCategoryId category_{obs::kProfCategoryNone};
   EventId pending_{};
-  TimePoint deadline_{};
   /// Bumped by every arm(); the firing lambda captures its epoch and
   /// refuses to run if a re-arm (possibly from inside on_fire itself — the
   /// TCP RTO pattern) superseded it. Belt-and-braces on top of the

@@ -1,32 +1,28 @@
-// Hashed hierarchical timer wheel (Varghese & Lauck) for the huge
-// rotating population of relative-delay events: keepalive pulses,
-// retransmit timeouts, punch retries, batch-flush windows.
+// Hashed hierarchical timer wheel (Varghese & Lauck): the simulator's
+// one event store. Every scheduled event — link deliveries, core
+// forwards, processing-queue completions, keepalive pulses, retransmit
+// timeouts, punch retries — is a node here.
 //
-// The 4-ary event heap (simulation.hpp) is exact but pays O(log n) per
-// schedule/cancel/pop; at the 10k-host churn tier the heap is dominated
-// by tens of thousands of live PeriodicTimer/OneShotTimer events, almost
-// all of which are cancelled or re-armed before they fire. The wheel
-// makes schedule and cancel O(1) and pop O(occupancy of one ~16 us
-// bucket), while preserving the simulator's determinism contract to the
-// byte: events still fire in strict global (deadline, sequence) order,
-// with FIFO insertion order inside every bucket.
+// Schedule and cancel are O(1) and pop is O(occupancy of one ~16 us
+// bucket), while the simulator's determinism contract holds to the byte:
+// events fire in strict global (deadline, sequence) order, with FIFO
+// insertion order inside every bucket.
 //
 // Layout: 4 levels x 256 slots over 2^14 ns (~16.4 us) ticks. A timer
 // whose tick shares the cursor's level-0 block (256 ticks) hangs off
 // level 0 at slot `tick & 0xFF`; one sharing the level-1 block (2^16
 // ticks) hangs off level 1 at slot `(tick >> 8) & 0xFF`; and so on. The
 // four levels cover 2^32 ticks (~19.5 simulated hours); anything beyond
-// parks in an overflow list. The cursor only moves when a wheel event is
+// parks in an overflow list. The cursor only moves when an event is
 // popped — and it jumps straight to the popped deadline's tick, cascading
-// exactly the slots that cover it, because the popped event is the wheel
+// exactly the slots that cover it, because the popped event is the
 // minimum so every slot in between is provably empty. Per-level occupancy
 // bitmaps make the min scan a handful of word scans.
 //
-// Nodes are addressed by the owning Simulation's slab-slot index, so an
-// EventId cancels identically whether its event lives here or on the
-// heap. The wheel never allocates per event in steady state: its node
-// array grows with the slab and buckets are intrusive doubly-linked
-// lists.
+// Nodes are addressed by the owning Simulation's slab-slot index and
+// hold each event's deadline and sequence. The wheel never allocates per
+// event in steady state: its node array grows with the slab and buckets
+// are intrusive doubly-linked lists.
 #pragma once
 
 #include <array>
@@ -67,6 +63,11 @@ class TimerWheel {
   /// Removes `idx` — which must be the current peek_min() — and advances
   /// the cursor to its tick, cascading the covering higher-level slots.
   void extract(std::uint32_t idx);
+
+  /// Deadline of queued node `idx`.
+  [[nodiscard]] TimePoint deadline(std::uint32_t idx) const noexcept {
+    return nodes_[idx].at;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }

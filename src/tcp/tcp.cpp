@@ -57,7 +57,11 @@ TcpLayer::TcpLayer(stack::IpLayer& ip, TcpConfig config) : ip_(ip), config_(conf
                            [this](const net::IpPacket& pkt) { handle_packet(pkt); });
 }
 
-TcpLayer::~TcpLayer() { ip_.set_protocol_handler(net::kProtoTcp, nullptr); }
+TcpLayer::~TcpLayer() {
+  ip_.set_protocol_handler(net::kProtoTcp, nullptr);
+  // A connection still open here may be kept alive by its own handler.
+  for (auto& [key, conn] : connections_) conn->drop_handlers();
+}
 
 void TcpLayer::listen(std::uint16_t port, AcceptHandler handler) {
   listen(port, std::move(handler), config_);
@@ -233,7 +237,20 @@ void TcpConnection::become_closed(CloseReason reason) {
   time_wait_timer_.cancel();
   const auto self = shared_from_this();  // keep alive past map erasure
   layer_.remove_connection(local_, remote_);
-  if (on_closed_) on_closed_(reason);
+  // A closed connection fires no further event, so it lets go of every
+  // handler: one that captures this connection's Ptr would otherwise keep
+  // it alive forever.
+  const ClosedHandler on_closed = std::move(on_closed_);
+  drop_handlers();
+  if (on_closed) on_closed(reason);
+}
+
+void TcpConnection::drop_handlers() {
+  on_data_ = nullptr;
+  on_established_ = nullptr;
+  on_peer_closed_ = nullptr;
+  on_closed_ = nullptr;
+  on_send_ready_ = nullptr;
 }
 
 void TcpConnection::enter_time_wait() {

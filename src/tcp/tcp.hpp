@@ -82,6 +82,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   TcpConnection& operator=(const TcpConnection&) = delete;
 
   // --- application API ---------------------------------------------------
+  //
+  // A connection drops all five handlers when it closes, and so does its
+  // TcpLayer's destructor, so a handler may capture the connection's own
+  // Ptr without keeping it alive.
 
   /// Queues stream data for transmission.
   void send(net::Chunk data);
@@ -144,6 +148,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void update_rtt(Duration sample);
   void enter_time_wait();
   void become_closed(CloseReason reason);
+  void drop_handlers();
   void deliver_in_order();
 
   [[nodiscard]] std::uint64_t effective_window() const noexcept;

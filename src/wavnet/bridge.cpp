@@ -22,6 +22,11 @@ SoftwareBridge::SoftwareBridge(sim::Simulation& sim, Duration fdb_ttl, Duration 
   c_flooded_ = &reg.counter("bridge.frames_flooded", instance_);
 }
 
+SoftwareBridge::~SoftwareBridge() {
+  for (BridgePort* port : ports_) port->bridge_ = nullptr;
+  for (BridgePort* port : monitors_) port->bridge_ = nullptr;
+}
+
 void SoftwareBridge::attach(BridgePort& port) {
   if (port.bridge_ == this) return;
   if (port.bridge_ != nullptr) port.bridge_->detach(port);

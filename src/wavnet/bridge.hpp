@@ -44,6 +44,12 @@ class SoftwareBridge {
  public:
   explicit SoftwareBridge(sim::Simulation& sim, Duration fdb_ttl = seconds(300),
                           Duration latency = microseconds(2));
+  /// Detaches every port and monitor, so one that outlives the bridge
+  /// (IpopHost owns its bridge and is also a port of it) is left unplugged.
+  ~SoftwareBridge();
+
+  SoftwareBridge(const SoftwareBridge&) = delete;
+  SoftwareBridge& operator=(const SoftwareBridge&) = delete;
 
   void attach(BridgePort& port);
   void detach(BridgePort& port);

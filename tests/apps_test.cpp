@@ -230,7 +230,7 @@ struct MpiLan {
     auto& router = network.add_node<fabric::Node>("lan-router");
     const net::Ipv4Subnet subnet{net::Ipv4Address::from_octets(10, 1, 0, 0), 24};
     for (std::size_t i = 0; i < n; ++i) {
-      auto& host = network.add_node<fabric::HostNode>("h" + std::to_string(i));
+      auto& host = network.add_node<fabric::HostNode>(std::string("h").append(std::to_string(i)));
       fabric::LinkConfig cfg;
       cfg.delay = microseconds(100);
       cfg.rate = rate;

@@ -253,7 +253,7 @@ TEST(CanRecords, QueryBreaksDistanceTiesByKey) {
   Overlay overlay{1};
   const Point p{{0.4, 0.4}};
   for (const can::RecordKey key : std::initializer_list<can::RecordKey>{5, 3, 9, 1, 7}) {
-    overlay.nodes_[0]->store(p, key, to_bytes("k" + std::to_string(key)));
+    overlay.nodes_[0]->store(p, key, to_bytes(std::string("k").append(std::to_string(key))));
   }
   overlay.nodes_[0]->store(Point{{0.4, 0.41}}, 0, to_bytes("farther"));
   std::vector<Item> found;

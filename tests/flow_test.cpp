@@ -421,8 +421,9 @@ TEST(FlowTrace, NatFilterDropAttributesToTheExactGateway) {
   env.site_a->gateway->flush_bindings();
   env.ping_burst(icmp, 4);
 
+  const std::vector<tools::FlowSummary> flows = env.flows();
   const tools::FlowSummary* request = nullptr;
-  for (const tools::FlowSummary& f : env.flows()) {
+  for (const tools::FlowSummary& f : flows) {
     if (f.src == "10.10.0.1" && f.dst == "10.10.0.2") request = &f;
   }
   ASSERT_NE(request, nullptr);

@@ -323,7 +323,8 @@ TEST(Metrics, JsonHelpersHandleEdgeCases) {
       JsonChecker{obs::json_double(std::numeric_limits<double>::infinity())}.valid());
   EXPECT_TRUE(
       JsonChecker{obs::json_double(std::numeric_limits<double>::quiet_NaN())}.valid());
-  const std::string escaped = "\"" + obs::json_escape("a\"b\\c\nd\te") + "\"";
+  const std::string escaped =
+      std::string("\"").append(obs::json_escape("a\"b\\c\nd\te")).append("\"");
   EXPECT_TRUE(JsonChecker{escaped}.valid()) << escaped;
 }
 
@@ -396,7 +397,7 @@ TEST(Trace, RingOverflowKeepsNewestCountsDropped) {
   tracer.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
     now += milliseconds(1);
-    tracer.instant(Category::kSim, "e" + std::to_string(i), "");
+    tracer.instant(Category::kSim, std::string("e").append(std::to_string(i)), "");
   }
   EXPECT_EQ(tracer.recorded(), 10u);
   EXPECT_EQ(tracer.dropped(), 6u);
@@ -453,7 +454,8 @@ TEST(Trace, ExportsAreByteIdenticalForIdenticalRuns) {
       const TimePoint start = now;
       now += microseconds(41);
       if (i % 3 == 0) {
-        tracer.instant(Category::kSwitch, "switch.flood", "s" + std::to_string(i % 4));
+        tracer.instant(Category::kSwitch, "switch.flood",
+                       std::string("s").append(std::to_string(i % 4)));
       } else {
         tracer.complete(Category::kTcp, "tcp.rtt", start, "conn",
                         "\"i\":" + std::to_string(i));

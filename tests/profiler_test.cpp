@@ -139,7 +139,8 @@ TEST_F(ProfilerTest, UntaggedEventsLandInDefaultBucket) {
     const obs::ProfEventScope scope(kProfCategoryNone);
   }
   prof.set_enabled(false);
-  const auto* row = row_named(prof.category_rows(), "sim/event");
+  const auto rows = prof.category_rows();
+  const auto* row = row_named(rows, "sim/event");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->calls, 1u);
 }
@@ -202,12 +203,14 @@ TEST_F(ProfilerTest, ResetClearsDataButKeepsInternedCategories) {
   }
   prof.set_enabled(false);
   ASSERT_NE(row_named(prof.category_rows(), "reset/work"), nullptr);
-  const auto* before = row_named(prof.category_rows(), "reset/work");
+  const auto rows_before = prof.category_rows();
+  const auto* before = row_named(rows_before, "reset/work");
   ASSERT_NE(before, nullptr);
   EXPECT_EQ(before->calls, 1u);
 
   prof.reset();
-  const auto* after = row_named(prof.category_rows(), "reset/work");
+  const auto rows_after = prof.category_rows();
+  const auto* after = row_named(rows_after, "reset/work");
   if (after != nullptr) {
     EXPECT_EQ(after->calls, 0u);
   }

@@ -360,14 +360,13 @@ TEST(Simulation, PeriodicTimerHoldsPeriodGridUnderLoad) {
 }
 
 TEST(Simulation, CancelWhileDrainingFuzz) {
-  // Seeded interleaving fuzz across both event stores: randomized
-  // schedule_at/schedule_after mixes with canceller events striking
-  // pending victims mid-drain, exercising heap_remove of the root, the
-  // last element and interior nodes, and wheel unlinks during cascades.
+  // Seeded interleaving fuzz: randomized schedule_at/schedule_after
+  // mixes with canceller events striking pending victims mid-drain,
+  // exercising cancels of the earliest, the last and interior events and
+  // wheel unlinks during cascades.
   Rng rng{0xC0FFEEu};
   for (int round = 0; round < 40; ++round) {
     sim::Simulation sim;
-    sim.set_use_timer_wheel(round % 2 == 0);
     const int n = 1 + static_cast<int>(rng.uniform_u64(0, 60));
     std::vector<sim::EventId> ids(static_cast<std::size_t>(n));
     std::vector<bool> cancelled(static_cast<std::size_t>(n), false);
@@ -404,30 +403,28 @@ TEST(Simulation, CancelWhileDrainingFuzz) {
   }
 }
 
-TEST(Simulation, HeapRemoveRootAndLastEdgeCases) {
-  // Directed edge cases for Simulation::heap_remove: cancelling the only
-  // element, the root with the heap non-trivial, and the physically last
-  // heap slot — each followed by a drain that must stay ordered. The
-  // heap path is forced explicitly; absolute-time events always live
-  // there.
+TEST(Simulation, CancelOnlyEarliestLastAndInteriorEvents) {
+  // Directed cancel cases: the only pending event, then the earliest,
+  // the last scheduled and an interior event of a populated queue — each
+  // followed by a drain that must stay ordered.
   sim::Simulation sim;
-  sim.set_use_timer_wheel(false);
 
-  // Only element.
+  // Only event.
   auto only = sim.schedule_at(sim.now() + milliseconds(1), [] {});
   EXPECT_TRUE(sim.cancel(only));
   EXPECT_EQ(sim.pending_events(), 0u);
 
-  // Root of a populated heap, then the last-pushed element.
+  // The earliest, the last scheduled and an interior event of a
+  // populated queue.
   std::vector<int> order;
   std::vector<sim::EventId> ids;
   for (int i = 0; i < 9; ++i) {
     ids.push_back(sim.schedule_at(sim.now() + milliseconds(i + 1),
                                   [&order, i] { order.push_back(i); }));
   }
-  EXPECT_TRUE(sim.cancel(ids[0]));              // heap root (earliest)
-  EXPECT_TRUE(sim.cancel(ids.back()));          // last heap position
-  EXPECT_TRUE(sim.cancel(ids[4]));              // interior node
+  EXPECT_TRUE(sim.cancel(ids[0]));              // earliest
+  EXPECT_TRUE(sim.cancel(ids.back()));          // last scheduled
+  EXPECT_TRUE(sim.cancel(ids[4]));              // interior
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 6, 7}));
   EXPECT_EQ(sim.pending_events(), 0u);

@@ -167,6 +167,54 @@ TEST(Tcp, OrderlyClose) {
   EXPECT_EQ(tcp_b.connection_count(), 0u);
 }
 
+TEST(Tcp, ClosedConnectionReleasesHandlersThatCaptureIt) {
+  // Each server handler captures its own connection's Ptr; closing must
+  // break the cycle so the connection is freed.
+  TwoHosts env;
+  tcp::TcpLayer tcp_a{*env.a};
+  tcp::TcpLayer tcp_b{*env.b};
+
+  std::weak_ptr<tcp::TcpConnection> server;
+  bool server_closed = false;
+  tcp_b.listen(80, [&](tcp::TcpConnection::Ptr conn) {
+    server = conn;
+    conn->on_data([conn](const std::vector<net::Chunk>&) {});
+    conn->on_peer_closed([conn] { conn->close(); });
+    conn->on_closed([&server_closed, conn](tcp::CloseReason) { server_closed = true; });
+  });
+  auto client = tcp_a.connect({env.b->primary_address(), 80});
+  client->on_established([&] {
+    client->send_bytes("bye");
+    client->close();
+  });
+
+  env.sim.run_for(seconds(10));
+  EXPECT_TRUE(server_closed);
+  EXPECT_EQ(tcp_b.connection_count(), 0u);
+  EXPECT_TRUE(server.expired());
+}
+
+TEST(Tcp, LayerDestructionReleasesEstablishedConnections) {
+  // A connection still established when its layer goes away is freed
+  // even though its own handler holds its Ptr.
+  TwoHosts env;
+  std::weak_ptr<tcp::TcpConnection> server;
+  {
+    tcp::TcpLayer tcp_a{*env.a};
+    tcp::TcpLayer tcp_b{*env.b};
+    tcp_b.listen(80, [&](tcp::TcpConnection::Ptr conn) {
+      server = conn;
+      conn->on_data([conn](const std::vector<net::Chunk>&) {});
+    });
+    auto client = tcp_a.connect({env.b->primary_address(), 80});
+    client->send_bytes("hello");
+    env.sim.run_for(seconds(2));
+    ASSERT_FALSE(server.expired());
+    EXPECT_EQ(server.lock()->state(), tcp::TcpState::kEstablished);
+  }
+  EXPECT_TRUE(server.expired());
+}
+
 TEST(Tcp, ConnectionRefused) {
   TwoHosts env;
   tcp::TcpLayer tcp_a{*env.a};

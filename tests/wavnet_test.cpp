@@ -320,5 +320,25 @@ TEST(Wavnet, FloodReachesAllConnectedPeers) {
   EXPECT_EQ(a2->stack().stats().gratuitous_seen, 1u);
 }
 
+TEST(Wavnet, BridgeDestroyedBeforeItsPortsUnplugsThem) {
+  sim::Simulation sim;
+  wavnet::VirtualNic nic{wavnet::make_mac(1)};
+  wavnet::VirtualNic monitor{wavnet::make_mac(2)};
+  {
+    wavnet::SoftwareBridge bridge{sim};
+    bridge.attach(nic);
+    bridge.attach_monitor(monitor);
+    ASSERT_EQ(nic.bridge(), &bridge);
+    ASSERT_EQ(monitor.bridge(), &bridge);
+  }
+  EXPECT_EQ(nic.bridge(), nullptr);
+  EXPECT_EQ(monitor.bridge(), nullptr);
+  net::EthernetFrame frame;
+  frame.src = nic.mac();
+  frame.dst = net::MacAddress::broadcast();
+  EXPECT_FALSE(nic.transmit(frame));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 }  // namespace
 }  // namespace wav
